@@ -1,28 +1,27 @@
 /**
  * @file
- * Ensemble-DES hot-path scaling: events/sec by event-queue backend,
- * shard count, and worker count — plus the fast-mode/2 macro-event
- * arms and their statistical-equivalence gate.
+ * Ensemble-DES hot-path scaling: events/sec by shard count and
+ * worker count — plus the fast-mode/2 macro-event arms and their
+ * statistical-equivalence gate.
  *
  * Runs the identical warehouse-scale ensemble simulation
  * (nonstationary diurnal arrivals + MMPP flash-crowd process,
  * per-server sleep-state machines, PowerOff autoscaling) across a
- * grid of execution knobs — heap vs calendar event ordering, 1-8
- * shards, 1-4 workers — verifies every run produces byte-identical
- * ensemble report JSON (the kernel's determinism contract), and
- * reports kernel throughput per arm.
+ * grid of execution knobs — 1-8 shards, 1-4 workers — verifies
+ * every run produces byte-identical ensemble report JSON (the
+ * kernel's determinism contract), and reports kernel throughput per
+ * arm.
  *
  * What the arms mean:
- *  - queue: the heap is the O(log n) oracle; the calendar queue
- *    (sim/calendar_queue.hh) is the amortized-O(1) fast path. Their
- *    serial ratio is the headline number the CI perf gate tracks.
  *  - fast: arms running the fast-mode/2 macro-event engine
  *    (perfsim/ensemble_fast.cc). Fast arms are bit-identical to each
- *    other across backends/shards/workers — same determinism contract
- *    as exact mode — but not to the exact arms; exact vs fast is
- *    gated *statistically* instead (below). The headline is
- *    fast_vs_exact_ratio: simulated requests/sec, fast calendar
- *    serial over exact calendar serial.
+ *    other across shards/workers — same determinism contract as
+ *    exact mode — but not to the exact arms; exact vs fast is gated
+ *    *statistically* instead (below). The headline is
+ *    fast_vs_exact_ratio: simulated requests/sec, best fast arm over
+ *    exact serial. The serial fast-over-exact ratio is what the CI
+ *    perf gate floors: both arms run on the same host and one core,
+ *    so neither host speed nor core count moves it.
  *  - shards on a single hardware thread measure cache locality (each
  *    shard's working set stays L2-resident); with real cores the
  *    worker arms add parallel execution on top. On a 1-CPU host the
@@ -64,11 +63,10 @@
  * equally) and the best time per arm is kept — the least-contended
  * sample is the closest estimate of the true cost.
  *
- * Emits machine-readable BENCH_ensemble.json (schema v3, documented
+ * Emits machine-readable BENCH_ensemble.json (schema v4, documented
  * in README.md) so later PRs can track the trajectory; CI recomputes
- * it fresh and gates on bit_identical, the equivalence gate, plus the
- * calendar/heap serial throughput ratio against the committed
- * baseline.
+ * it fresh and gates on bit_identical, the equivalence gate, and the
+ * serial fast-over-exact requests/s ratio.
  */
 
 #include <algorithm>
@@ -106,7 +104,6 @@ identityJson(const perfsim::EnsembleResult &r)
 }
 
 struct Arm {
-    sim::QueueKind queue = sim::QueueKind::Heap;
     unsigned shards = 1;
     unsigned workers = 1;
     bool fast = false;
@@ -126,10 +123,9 @@ int
 run(int argc, char **argv)
 {
     ArgParser args("bench_ensemble",
-                   "ensemble DES throughput by event-queue backend, "
-                   "shard count, and worker count, with the "
-                   "bit-identity gate and the fast-mode/2 "
-                   "statistical-equivalence gate");
+                   "ensemble DES throughput by shard count and "
+                   "worker count, with the bit-identity gate and the "
+                   "fast-mode/2 statistical-equivalence gate");
     args.addOption("servers", "fleet size", "100000")
         .addOption("cells", "dispatch cells (fixed logical lanes)",
                    "16")
@@ -158,6 +154,12 @@ run(int argc, char **argv)
     if (gateSeedsArg < 2 || gateSeedsArg > 8)
         fatal("--gate-seeds must be in [2, 8]");
     unsigned gateSeeds = unsigned(gateSeedsArg);
+    double cellsArg = args.getDouble("cells");
+    if (cellsArg < 1 || cellsArg > 4096)
+        fatal("--cells must be in [1, 4096]");
+    double hoursArg = args.getDouble("hours");
+    if (hoursArg < 1 || hoursArg > 24)
+        fatal("--hours must be in [1, 24]");
     double sph = args.getDouble("seconds-per-hour");
     if (sph <= 0.0)
         fatal("--seconds-per-hour must be positive");
@@ -165,8 +167,8 @@ run(int argc, char **argv)
 
     perfsim::EnsembleConfig cfg;
     cfg.servers = std::uint64_t(serversArg);
-    cfg.cells = unsigned(args.getDouble("cells"));
-    cfg.hours = unsigned(args.getDouble("hours"));
+    cfg.cells = unsigned(cellsArg);
+    cfg.hours = unsigned(hoursArg);
     cfg.secondsPerHour = sph;
     // Sustained full load rather than a diurnal valley: the bench
     // stresses kernel throughput at the fleet's design-point depth
@@ -204,35 +206,23 @@ run(int argc, char **argv)
         runEnsemble(w);
     }
 
-    // The knob grid: every (shards, workers) pair under each backend,
-    // workers <= shards (extra workers would idle). The serial pair
-    // (1, 1) per backend anchors the speedup and ratio numbers. The
-    // fast arms cover both backends serially (backend invariance)
-    // plus sharded pairs (shard/worker invariance).
+    // The knob grid: (shards, workers) pairs with workers <= shards
+    // (extra workers would idle). The serial pair (1, 1) of each
+    // engine anchors the speedup and ratio numbers; the fast arms'
+    // sharded pairs check shard/worker invariance.
     const std::vector<std::pair<unsigned, unsigned>> knobs{
         {1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 4}, {8, 1}, {8, 4}};
+    const std::vector<std::pair<unsigned, unsigned>> fastKnobs{
+        {1, 1}, {4, 1}, {8, 4}};
     std::vector<Arm> arms;
-    for (auto kind : {sim::QueueKind::Heap, sim::QueueKind::Calendar})
-        for (auto [s, w] : knobs) {
+    for (bool fast : {false, true})
+        for (auto [s, w] : fast ? fastKnobs : knobs) {
             Arm arm;
-            arm.queue = kind;
             arm.shards = s;
             arm.workers = w;
+            arm.fast = fast;
             arms.push_back(std::move(arm));
         }
-    const std::vector<std::tuple<sim::QueueKind, unsigned, unsigned>>
-        fastKnobs{{sim::QueueKind::Heap, 1, 1},
-                  {sim::QueueKind::Calendar, 1, 1},
-                  {sim::QueueKind::Calendar, 4, 1},
-                  {sim::QueueKind::Calendar, 8, 4}};
-    for (auto [kind, s, w] : fastKnobs) {
-        Arm arm;
-        arm.queue = kind;
-        arm.shards = s;
-        arm.workers = w;
-        arm.fast = true;
-        arms.push_back(std::move(arm));
-    }
     // Oversubscribed arms on a single-CPU host time-slice one core:
     // their walls measure scheduler noise, not the kernel. Skip them
     // rather than feed noise to the regression gate.
@@ -246,7 +236,6 @@ run(int argc, char **argv)
         for (auto &arm : arms) {
             if (arm.skipped)
                 continue;
-            cfg.queue = arm.queue;
             cfg.shards = arm.shards;
             cfg.workers = arm.workers;
             cfg.fast.enabled = arm.fast;
@@ -265,16 +254,14 @@ run(int argc, char **argv)
                 identical = false;
         }
     }
-    cfg.queue = sim::QueueKind::Calendar;
     cfg.shards = 1;
     cfg.workers = 1;
     cfg.fast.enabled = false;
 
-    // Per-backend serial anchors (exact arms; event throughput).
-    auto serialArm = [&](sim::QueueKind kind, bool fast) -> Arm & {
+    // Per-engine serial anchors.
+    auto serialArm = [&](bool fast) -> Arm & {
         for (auto &arm : arms)
-            if (arm.queue == kind && arm.serial() &&
-                arm.fast == fast)
+            if (arm.serial() && arm.fast == fast)
                 return arm;
         fatal("missing serial arm");
     };
@@ -284,32 +271,28 @@ run(int argc, char **argv)
     auto rps = [](const Arm &a) {
         return double(a.requests) / a.bestWall;
     };
-    double heapSerial = eps(serialArm(sim::QueueKind::Heap, false));
-    double calSerial = eps(serialArm(sim::QueueKind::Calendar, false));
+    const Arm &exactSerial = serialArm(false);
     // The fast-mode headline: simulated requests per second, best
-    // fast arm over the exact calendar-queue serial baseline (the
-    // same baseline the exact arms' own speedups anchor on).
+    // fast arm over the exact serial baseline (the same baseline the
+    // exact arms' own speedups anchor on).
     double bestFastRps = 0.0;
     for (const auto &arm : arms)
         if (arm.fast && !arm.skipped)
             bestFastRps = std::max(bestFastRps, rps(arm));
-    double fastVsExact =
-        bestFastRps / rps(serialArm(sim::QueueKind::Calendar, false));
+    double fastVsExact = bestFastRps / rps(exactSerial);
 
-    Table t({"Queue", "Mode", "Shards", "Workers", "Best wall (s)",
-             "Events/s", "Req/s", "vs serial", "Imbalance"});
+    Table t({"Mode", "Shards", "Workers", "Best wall (s)", "Events/s",
+             "Req/s", "vs serial", "Imbalance"});
     for (const auto &arm : arms) {
         if (arm.skipped) {
-            t.addRow({sim::queueKindName(arm.queue),
-                      arm.fast ? "fast" : "exact",
+            t.addRow({arm.fast ? "fast" : "exact",
                       std::to_string(arm.shards),
                       std::to_string(arm.workers), "skipped", "-",
                       "-", "-", "-"});
             continue;
         }
-        const Arm &anchor = serialArm(arm.queue, arm.fast);
-        t.addRow({sim::queueKindName(arm.queue),
-                  arm.fast ? "fast" : "exact",
+        const Arm &anchor = serialArm(arm.fast);
+        t.addRow({arm.fast ? "fast" : "exact",
                   std::to_string(arm.shards),
                   std::to_string(arm.workers), fmtF(arm.bestWall, 3),
                   fmtF(eps(arm) / 1e6, 2) + "M",
@@ -319,10 +302,7 @@ run(int argc, char **argv)
     }
     t.print(std::cout);
 
-    std::cout << "\nCalendar vs heap, serial (exact): "
-              << fmtF(calSerial / heapSerial, 2) << "x\n"
-              << "Fast (best arm) vs exact calendar serial "
-                 "(requests/s): "
+    std::cout << "\nFast (best arm) vs exact serial (requests/s): "
               << fmtF(fastVsExact, 2) << "x\n"
               << "Determinism gate: "
               << (identical ? "bit-identical within "
@@ -490,7 +470,7 @@ run(int argc, char **argv)
     json.precision(6);
     json << "{\n"
          << "  \"bench\": \"ensemble\",\n"
-         << "  \"schema_version\": 3,\n"
+         << "  \"schema_version\": 4,\n"
          << "  \"config\": {\n"
          << "    \"servers\": " << cfg.servers << ",\n"
          << "    \"cells\": " << cfg.cells << ",\n"
@@ -513,14 +493,13 @@ run(int argc, char **argv)
          << "  \"arms\": [\n";
     for (std::size_t i = 0; i < arms.size(); ++i) {
         const Arm &arm = arms[i];
-        json << "    {\"queue\": \"" << sim::queueKindName(arm.queue)
-             << "\", \"shards\": " << arm.shards
+        json << "    {\"shards\": " << arm.shards
              << ", \"workers\": " << arm.workers
              << ", \"fast\": " << (arm.fast ? "true" : "false");
         if (arm.skipped) {
             json << ", \"skipped_oversubscribed\": true}";
         } else {
-            const Arm &anchor = serialArm(arm.queue, arm.fast);
+            const Arm &anchor = serialArm(arm.fast);
             json << ", \"skipped_oversubscribed\": false"
                  << ", \"best_wall_seconds\": " << arm.bestWall
                  << ", \"events_per_sec\": " << eps(arm)
@@ -536,10 +515,7 @@ run(int argc, char **argv)
         json << (i + 1 < arms.size() ? "," : "") << "\n";
     }
     json << "  ],\n"
-         << "  \"serial_events_per_sec\": {\"heap\": " << heapSerial
-         << ", \"calendar\": " << calSerial << "},\n"
-         << "  \"calendar_vs_heap_serial_ratio\": "
-         << calSerial / heapSerial << ",\n"
+         << "  \"serial_events_per_sec\": " << eps(exactSerial) << ",\n"
          << "  \"fast_vs_exact_ratio\": " << fastVsExact << ",\n"
          << "  \"equivalence_gate\": {\n"
          << "    \"passed\": "

@@ -90,13 +90,10 @@ BM_QueueHold(benchmark::State &state)
 {
     // Classic hold model (Vaucher & Duval): keep the queue at a fixed
     // depth and alternate dispatch-one / schedule-one at an
-    // exponential gap ahead. Steady-state cost per event as a function
-    // of depth is exactly where the heap's O(log n) and the calendar's
-    // amortized O(1) diverge; sweep the depth axis on both backends to
-    // find the crossover.
-    const auto kind = sim::QueueKind(state.range(0));
-    const auto depth = std::size_t(state.range(1));
-    sim::EventQueue eq(kind);
+    // exponential gap ahead. Sweeping the depth axis shows the
+    // heap's O(log n) steady-state cost per event.
+    const auto depth = std::size_t(state.range(0));
+    sim::EventQueue eq;
     eq.reserve(depth + 16);
     SplitMix64 rng(42);
     std::uint64_t sink = 0;
@@ -109,17 +106,12 @@ BM_QueueHold(benchmark::State &state)
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations());
-    state.SetLabel(sim::queueKindName(kind));
 }
 BENCHMARK(BM_QueueHold)
-    ->Args({0, 1 << 8})
-    ->Args({1, 1 << 8})
-    ->Args({0, 1 << 12})
-    ->Args({1, 1 << 12})
-    ->Args({0, 1 << 16})
-    ->Args({1, 1 << 16})
-    ->Args({0, 1 << 18})
-    ->Args({1, 1 << 18});
+    ->Arg(1 << 8)
+    ->Arg(1 << 12)
+    ->Arg(1 << 16)
+    ->Arg(1 << 18);
 
 void
 BM_QueueEnsembleMix(benchmark::State &state)
@@ -128,12 +120,10 @@ BM_QueueEnsembleMix(benchmark::State &state)
     // short exponential gaps while every server keeps one governor
     // timer pending at a fixed horizon, rescheduled (cancel + insert)
     // whenever its server sees traffic — the idle-to-sleep governor
-    // racing arrivals in perfsim/ensemble_sim. Cancels hit both
-    // backends' stale-slot machinery, so the crossover depth here is
-    // the one that matters for shard sizing.
-    const auto kind = sim::QueueKind(state.range(0));
-    const auto depth = std::size_t(state.range(1)); // power of two
-    sim::EventQueue eq(kind);
+    // racing arrivals in perfsim/ensemble_sim. Cancels exercise the
+    // stale-entry skip and compaction paths at shard-sized depths.
+    const auto depth = std::size_t(state.range(0)); // power of two
+    sim::EventQueue eq;
     eq.reserve(2 * depth + 16);
     SplitMix64 rng(7);
     std::uint64_t sink = 0;
@@ -153,15 +143,11 @@ BM_QueueEnsembleMix(benchmark::State &state)
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations());
-    state.SetLabel(sim::queueKindName(kind));
 }
 BENCHMARK(BM_QueueEnsembleMix)
-    ->Args({0, 1 << 8})
-    ->Args({1, 1 << 8})
-    ->Args({0, 1 << 12})
-    ->Args({1, 1 << 12})
-    ->Args({0, 1 << 16})
-    ->Args({1, 1 << 16});
+    ->Arg(1 << 8)
+    ->Arg(1 << 12)
+    ->Arg(1 << 16);
 
 void
 BM_PsResourceChurn(benchmark::State &state)

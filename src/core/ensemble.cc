@@ -30,7 +30,6 @@ ensembleConfig(const DiurnalProfile &profile, PowerPolicy policy,
     cfg.cells = params.cells;
     cfg.shards = params.shards;
     cfg.workers = params.workers;
-    cfg.queue = params.queue;
     cfg.hours = params.hours;
     cfg.secondsPerHour = params.secondsPerHour;
     cfg.profile = profile.hourly;

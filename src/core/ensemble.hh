@@ -35,9 +35,6 @@ struct EnsembleEvalParams {
     unsigned cells = 16;   //!< dispatch domains (model topology)
     unsigned shards = 1;   //!< physical event queues (execution knob)
     unsigned workers = 1;  //!< threads (0 = min(shards, hardware))
-    /** Event-ordering backend (execution knob; heap is the oracle,
-     * calendar the fast path — results are byte-identical). */
-    sim::QueueKind queue = sim::QueueKind::Heap;
     unsigned hours = 24;
     /** Duty-cycle compression: simulated seconds per modeled hour. */
     double secondsPerHour = 5.0;

@@ -42,7 +42,7 @@
  * per-arrival service), all accumulators merge in cell-index order,
  * and all cross-cell interaction rides the barrier-ordered message
  * path — so a seed reproduces the same bytes at any shard/worker
- * count and queue backend, which test_ensemble asserts.
+ * count, which test_ensemble asserts.
  */
 
 #include "perfsim/ensemble_sim.hh"
@@ -169,7 +169,7 @@ struct EnsembleFastSim {
     std::uint64_t capClamps = 0;
 
     explicit EnsembleFastSim(const EnsembleConfig &cfg)
-        : cfg(cfg), sq(cfg.cells, cfg.shards, cfg.queue),
+        : cfg(cfg), sq(cfg.cells, cfg.shards),
           hourSeconds(cfg.secondsPerHour),
           horizon(double(cfg.hours) * cfg.secondsPerHour),
           lookahead(cfg.networkLatencySeconds),

@@ -172,7 +172,7 @@ struct EnsembleSim {
     std::uint64_t capClamps = 0;
 
     explicit EnsembleSim(const EnsembleConfig &cfg)
-        : cfg(cfg), sq(cfg.cells, cfg.shards, cfg.queue),
+        : cfg(cfg), sq(cfg.cells, cfg.shards),
           hourSeconds(cfg.secondsPerHour),
           horizon(double(cfg.hours) * cfg.secondsPerHour),
           binWidth(4.0 * cfg.qosLatencySeconds / kLatencyBins),

@@ -102,11 +102,6 @@ struct EnsembleConfig {
     unsigned shards = 1;  //!< physical event queues (execution knob)
     /** Threads executing shards; 0 = min(shards, hardware). */
     unsigned workers = 1;
-    /** Event-ordering backend of every shard queue. An execution
-     * knob like shards/workers: both backends dispatch the identical
-     * (time, seq) order, so results are byte-identical either way.
-     * The heap is the oracle; the calendar is the fast path. */
-    sim::QueueKind queue = sim::QueueKind::Heap;
 
     unsigned hours = 24;  //!< simulated hours (indexes the profile)
     /** Duty-cycle compression: each simulated hour lasts this many

@@ -25,27 +25,7 @@ makeId(std::uint32_t slot, std::uint32_t gen)
 
 } // namespace
 
-bool
-parseQueueKind(const std::string &name, QueueKind &out)
-{
-    if (name == "heap") {
-        out = QueueKind::Heap;
-        return true;
-    }
-    if (name == "calendar") {
-        out = QueueKind::Calendar;
-        return true;
-    }
-    return false;
-}
-
-const char *
-queueKindName(QueueKind kind)
-{
-    return kind == QueueKind::Heap ? "heap" : "calendar";
-}
-
-EventQueue::EventQueue(QueueKind kind) : kind_(kind)
+EventQueue::EventQueue()
 {
     reserve(kDefaultReserve);
 }
@@ -53,10 +33,7 @@ EventQueue::EventQueue(QueueKind kind) : kind_(kind)
 void
 EventQueue::reserve(std::size_t events)
 {
-    if (kind_ == QueueKind::Heap)
-        heap.reserve(events);
-    else
-        cal_.reserve(events);
+    heap.reserve(events);
     slotGen.reserve(events);
     slotAction.reserve(events);
     slotOwner.reserve(events);
@@ -104,16 +81,12 @@ EventQueue::schedule(Time when, InlineAction &&action,
     slotAction[slot] = std::move(action);
     slotOwner[slot] = owner;
     Entry e{when, nextSeq++, slot, gen};
-    if (kind_ == QueueKind::Heap) {
-        heap.push_back(e);
-        std::push_heap(heap.begin(), heap.end(), Later{});
-    } else {
-        cal_.push(e);
-    }
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), Later{});
     ++live_;
     ++counters_.scheduled;
-    if (entriesHeld() > counters_.peakHeap)
-        counters_.peakHeap = entriesHeld();
+    if (heap.size() > counters_.peakHeap)
+        counters_.peakHeap = heap.size();
     EventId id = makeId(slot, gen);
     if (tracer_)
         tracer_({TraceRecord::Kind::Schedule, now_, when, id});
@@ -145,17 +118,17 @@ EventQueue::cancelIf(
     const std::function<bool(EventId, Time, std::uint64_t)> &pred)
 {
     WSC_ASSERT(pred, "null bulk-cancel predicate");
-    // One sweep over entry storage; ordering-structure invariants are
-    // unaffected because cancellation only flips generation stamps.
-    // Entries already stale are skipped so the predicate sees each
-    // live event exactly once.
+    // One sweep over the heap array; heap invariants are unaffected
+    // because cancellation only flips generation stamps. Entries
+    // already stale are skipped so the predicate sees each live event
+    // exactly once.
     std::size_t n = 0;
-    auto visit = [&](const Entry &e) {
+    for (const Entry &e : heap) {
         if (!liveEntry(e))
-            return;
+            continue;
         EventId id = makeId(e.slot, e.gen);
         if (!pred(id, e.when, slotOwner[e.slot]))
-            return;
+            continue;
         releaseSlot(e.slot);
         slotAction[e.slot].reset();
         --live_;
@@ -164,12 +137,6 @@ EventQueue::cancelIf(
         ++n;
         if (tracer_)
             tracer_({TraceRecord::Kind::Cancel, now_, e.when, id});
-    };
-    if (kind_ == QueueKind::Heap) {
-        for (const Entry &e : heap)
-            visit(e);
-    } else {
-        cal_.forEach(visit);
     }
     if (n)
         maybeCompact();
@@ -190,21 +157,16 @@ EventQueue::maybeCompact()
 {
     // Rebuild once cancelled entries outnumber half the live pending
     // set (and are numerous enough for the O(n) rebuild to pay off);
-    // keeps entry storage proportional to live events under
+    // keeps heap storage proportional to live events under
     // schedule/cancel churn instead of growing with cancel volume.
     if (stale_ < kCompactMinStale || stale_ * 2 <= live_)
         return;
-    if (kind_ == QueueKind::Heap) {
-        heap.erase(std::remove_if(heap.begin(), heap.end(),
-                                  [this](const Entry &e) {
-                                      return !liveEntry(e);
-                                  }),
-                   heap.end());
-        std::make_heap(heap.begin(), heap.end(), Later{});
-    } else {
-        cal_.removeIf(
-            [this](const Entry &e) { return !liveEntry(e); });
-    }
+    heap.erase(std::remove_if(heap.begin(), heap.end(),
+                              [this](const Entry &e) {
+                                  return !liveEntry(e);
+                              }),
+               heap.end());
+    std::make_heap(heap.begin(), heap.end(), Later{});
     stale_ = 0;
     ++counters_.compactions;
 }
@@ -212,23 +174,19 @@ EventQueue::maybeCompact()
 void
 EventQueue::skipStale()
 {
-    if (kind_ == QueueKind::Heap) {
-        while (!heap.empty() && !liveEntry(heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), Later{});
-            heap.pop_back();
-            --stale_;
-        }
-    } else {
-        while (!cal_.empty() && !liveEntry(cal_.min())) {
-            cal_.popMin();
-            --stale_;
-        }
+    while (!heap.empty() && !liveEntry(heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        heap.pop_back();
+        --stale_;
     }
 }
 
 void
-EventQueue::dispatchEntry(const Entry &e)
+EventQueue::dispatchTop()
 {
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    Entry e = heap.back();
+    heap.pop_back();
     // Move the action out of the slot pool before releasing the slot,
     // so it survives dispatch even if it schedules further events
     // that reuse the slot.
@@ -243,33 +201,18 @@ EventQueue::dispatchEntry(const Entry &e)
     action();
 }
 
-void
-EventQueue::dispatchTop()
-{
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    Entry e = heap.back();
-    heap.pop_back();
-    dispatchEntry(e);
-}
-
 bool
 EventQueue::step()
 {
     skipStale();
-    if (kind_ == QueueKind::Heap) {
-        if (heap.empty())
-            return false;
-        dispatchTop();
-    } else {
-        if (cal_.empty())
-            return false;
-        dispatchEntry(cal_.popMin());
-    }
+    if (heap.empty())
+        return false;
+    dispatchTop();
     return true;
 }
 
 std::uint64_t
-EventQueue::runHeap(Time until)
+EventQueue::run(Time until)
 {
     // Hand-fused skipStale + horizon check: one load of the heap top
     // decides stale-pop, past-horizon, or dispatch. This loop is the
@@ -289,35 +232,6 @@ EventQueue::runHeap(Time until)
         dispatchTop();
         ++n;
     }
-    return n;
-}
-
-std::uint64_t
-EventQueue::runCalendar(Time until)
-{
-    // Same fused shape as runHeap; min() settles the calendar cursor
-    // once and repeated calls between pushes are O(1).
-    std::uint64_t n = 0;
-    while (!cal_.empty()) {
-        const Entry &top = cal_.min();
-        if (!liveEntry(top)) {
-            cal_.popMin();
-            --stale_;
-            continue;
-        }
-        if (top.when > until)
-            break;
-        dispatchEntry(cal_.popMin());
-        ++n;
-    }
-    return n;
-}
-
-std::uint64_t
-EventQueue::run(Time until)
-{
-    std::uint64_t n = kind_ == QueueKind::Heap ? runHeap(until)
-                                               : runCalendar(until);
     if (now_ < until)
         now_ = until;
     return n;

@@ -11,35 +11,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "sim/calendar_queue.hh"
 #include "sim/inline_action.hh"
 
 namespace wsc {
 namespace sim {
 
-/**
- * Event-ordering backend selection for EventQueue (and, per shard,
- * ShardedEventQueue). Both backends dispatch in the identical
- * (time, seq) total order, so the choice is an execution knob: it can
- * never change simulation results, only their cost. The binary heap
- * remains the oracle — O(log n) but simple enough to trust — while
- * the calendar queue (see calendar_queue.hh) is amortized O(1) under
- * the hold-model schedules the ensemble generates.
- */
-enum class QueueKind : std::uint8_t {
-    Heap,     //!< binary min-heap (oracle; the seed structure)
-    Calendar, //!< bucketed calendar with far-future overflow tier
-};
-
-/** Parse "heap"/"calendar" (as in --ensemble-queue); returns false on
- * any other spelling, leaving @p out untouched. */
-bool parseQueueKind(const std::string &name, QueueKind &out);
-
-/** Canonical spelling of @p kind ("heap"/"calendar"). */
-const char *queueKindName(QueueKind kind);
+/** Simulation time, in seconds. */
+using Time = double;
 
 /**
  * Opaque handle identifying a scheduled event (for cancellation).
@@ -95,9 +75,7 @@ class EventQueue
      */
     using Tracer = std::function<void(const TraceRecord &)>;
 
-    /** @param kind Ordering backend; an execution knob only (both
-     * backends dispatch the identical (time, seq) order). */
-    explicit EventQueue(QueueKind kind = QueueKind::Heap);
+    EventQueue();
 
     // The queue holds closures that frequently capture `this` of model
     // objects; copying would dangle. Non-copyable, non-movable.
@@ -201,9 +179,6 @@ class EventQueue
     /** Stale (cancelled) entries currently occupying heap storage. */
     std::size_t staleEntries() const { return stale_; }
 
-    /** The ordering backend this queue was constructed with. */
-    QueueKind kind() const { return kind_; }
-
   private:
     /**
      * Ordering entries carry metadata only; the action and the
@@ -214,10 +189,15 @@ class EventQueue
      * of holding captures until the stale entry is skipped or
      * compacted away. The owner tag moves out too: it is read only by
      * the bulk-cancel sweeps, never on the sift path, and shaving it
-     * fits two entries per cache line during sifts. The same 24-byte
-     * record is what CalendarQueue buckets (EventEntry).
+     * fits two entries per cache line during sifts. The total
+     * dispatch order is (when, seq) ascending; seq is unique.
      */
-    using Entry = EventEntry;
+    struct Entry {
+        Time when;
+        std::uint64_t seq;  //!< global FIFO sequence number
+        std::uint32_t slot; //!< slot-pool index of the action
+        std::uint32_t gen;  //!< slot generation when scheduled
+    };
 
     struct Later {
         bool
@@ -230,16 +210,9 @@ class EventQueue
         }
     };
 
-    /** Which ordering structure below is engaged. A plain branch on
-     * this enum (not a virtual call) keeps the hot loop inlinable;
-     * only the engaged structure ever holds entries. */
-    QueueKind kind_;
     /** Heap order maintained manually (std::push_heap/pop_heap) so
-     * compaction can filter the underlying vector in place. Engaged
-     * iff kind_ == QueueKind::Heap. */
+     * compaction can filter the underlying vector in place. */
     std::vector<Entry> heap;
-    /** Engaged iff kind_ == QueueKind::Calendar. */
-    CalendarQueue cal_;
     /** Per-slot current generation; a heap entry is live iff its
      * stamp matches. Bumped on dispatch and on cancel. */
     std::vector<std::uint32_t> slotGen;
@@ -265,30 +238,14 @@ class EventQueue
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t slot);
 
-    /** Pop stale entries off the ordering-structure minimum. */
+    /** Pop stale entries off the heap top. */
     void skipStale();
 
     /** Dispatch the heap top, which must be live (post skipStale). */
     void dispatchTop();
 
-    /** Shared dispatch tail: consume @p e (already removed from the
-     * ordering structure), advance the clock, run the action. */
-    void dispatchEntry(const Entry &e);
-
-    /** Rebuild the ordering structure without stale entries when they
-     * dominate. */
+    /** Rebuild the heap without stale entries when they dominate. */
     void maybeCompact();
-
-    /** run(until) hot loops, one per backend. */
-    std::uint64_t runHeap(Time until);
-    std::uint64_t runCalendar(Time until);
-
-    /** Entries currently held by the engaged ordering structure. */
-    std::size_t
-    entriesHeld() const
-    {
-        return kind_ == QueueKind::Heap ? heap.size() : cal_.size();
-    }
 };
 
 } // namespace sim

@@ -116,7 +116,7 @@ struct FastModeConfig {
  *  - QoS semantics: latency measured arrival→completion against the
  *    same deadline, attainment over the same population;
  *  - per-seed determinism: a seed reproduces the same fast run bit for
- *    bit at any shard/worker count and queue backend.
+ *    bit at any shard/worker count.
  *
  * Relaxed (fast-mode/2 MAY change):
  *  - event granularity: per-request arrival/completion/governor events

@@ -151,15 +151,13 @@ class Team
 
 } // namespace
 
-ShardedEventQueue::ShardedEventQueue(unsigned lanes, unsigned shards,
-                                     QueueKind kind)
-    : kind_(kind)
+ShardedEventQueue::ShardedEventQueue(unsigned lanes, unsigned shards)
 {
     WSC_ASSERT(lanes >= 1, "need at least one lane");
     shards = std::max(1u, std::min(shards, lanes));
     queues_.reserve(shards);
     for (unsigned s = 0; s < shards; ++s)
-        queues_.push_back(std::make_unique<EventQueue>(kind));
+        queues_.push_back(std::make_unique<EventQueue>());
     laneShard_.resize(lanes);
     for (unsigned l = 0; l < lanes; ++l)
         laneShard_[l] =

@@ -96,16 +96,12 @@ class ShardedEventQueue
      * @param shards physical queue count, clamped to [1, lanes];
      *     lane l executes on queue l * shards / lanes (blocked map,
      *     so neighbouring lanes share a shard and its cache lines)
-     * @param kind   event-ordering backend for every shard queue; an
-     *     execution knob (both kinds dispatch the identical order)
      */
-    ShardedEventQueue(unsigned lanes, unsigned shards,
-                      QueueKind kind = QueueKind::Heap);
+    ShardedEventQueue(unsigned lanes, unsigned shards);
 
     unsigned lanes() const { return unsigned(laneShard_.size()); }
     unsigned shards() const { return unsigned(queues_.size()); }
     unsigned shardOf(unsigned lane) const { return laneShard_[lane]; }
-    QueueKind kind() const { return kind_; }
 
     /** The queue executing @p lane; schedule a lane's own events
      * here. Outside run() (setup, barrier) any lane's queue may be
@@ -143,7 +139,7 @@ class ShardedEventQueue
     RunStats run(Time until, Time lookahead, unsigned workers = 1,
                  const BarrierFn &onBarrier = {});
 
-    /** Pre-size each shard's entry storage and slot pool. */
+    /** Pre-size each shard's heap and slot pool. */
     void reserve(std::size_t eventsPerShard);
 
     /**
@@ -160,7 +156,6 @@ class ShardedEventQueue
         InlineAction action;
     };
 
-    QueueKind kind_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
     std::vector<unsigned> laneShard_;
     /** Outboxes indexed src * lanes + dst. A row is written only by

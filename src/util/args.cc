@@ -1,6 +1,7 @@
 #include "util/args.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <sstream>
 
@@ -152,10 +153,14 @@ ArgParser::getDouble(const std::string &name) const
         double d = std::stod(v, &consumed);
         if (consumed != v.size())
             throw std::invalid_argument("trailing characters");
+        // std::stod accepts "nan" and "inf"; no option means either,
+        // and both slip past range checks (NaN compares false).
+        if (!std::isfinite(d))
+            throw std::invalid_argument("non-finite");
         return d;
     } catch (const std::exception &) {
-        fatal("option --" + name + " expects a number, got '" + v +
-              "'");
+        fatal("option --" + name + " expects a finite number, got '" +
+              v + "'");
     }
 }
 

@@ -44,7 +44,7 @@ class ArgParser
     /** Value of an option (its default if unset). */
     const std::string &get(const std::string &name) const;
 
-    /** Option parsed as double. */
+    /** Option parsed as a finite double; anything else is fatal. */
     double getDouble(const std::string &name) const;
 
     /** Flag state. */

@@ -188,10 +188,13 @@ TEST(Args, PositionalRejected)
 
 TEST(Args, NonNumericDoubleFatal)
 {
-    auto p = makeParser();
-    const char *argv[] = {"tool", "--tariff", "cheap"};
-    EXPECT_TRUE(p.parse(3, argv));
-    EXPECT_THROW(p.getDouble("tariff"), FatalError);
+    // std::stod parses nan/inf; getDouble must still reject them.
+    for (const char *bad : {"cheap", "nan", "-nan", "inf", "-inf"}) {
+        auto p = makeParser();
+        const char *argv[] = {"tool", "--tariff", bad};
+        EXPECT_TRUE(p.parse(3, argv));
+        EXPECT_THROW(p.getDouble("tariff"), FatalError) << bad;
+    }
 }
 
 TEST(Args, UsageListsEverything)

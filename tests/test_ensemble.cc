@@ -1,8 +1,7 @@
 /**
  * @file
  * Ensemble-DES tests: the sharded-queue determinism contract
- * (byte-identical reports at 1/2/8 shards, across worker counts, and
- * between the heap and calendar event-queue backends),
+ * (byte-identical reports at 1/2/8 shards and across worker counts),
  * sleep-state wake-latency accounting, MMPP burst rates, power-cap
  * clamping, zero-load hours, the policy energy ordering, config
  * validation, and the fast-mode/2 macro-event engine's own contract:
@@ -14,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "core/ensemble.hh"
 #include "obs/run_report.hh"
@@ -91,7 +91,8 @@ TEST(Ensemble, BitIdenticalAcrossShardCounts)
 
 // Worker threads are an execution knob like shards: a multi-threaded
 // run must reproduce the serial bytes. (This test is the TSan probe
-// for the sharded queue's barrier protocol.)
+// for the sharded queue's barrier protocol; the 8 x 4 pair runs the
+// spin-then-park barrier and the parallel mailbox drain on 4 workers.)
 TEST(Ensemble, BitIdenticalAcrossWorkerCounts)
 {
     EnsembleConfig cfg = baseConfig();
@@ -99,34 +100,14 @@ TEST(Ensemble, BitIdenticalAcrossWorkerCounts)
 
     cfg.workers = 1;
     std::string serial = identityJson(runEnsemble(cfg));
-    cfg.workers = 2;
-    EXPECT_EQ(identityJson(runEnsemble(cfg)), serial);
-    cfg.workers = 0; // min(shards, hardware)
-    EXPECT_EQ(identityJson(runEnsemble(cfg)), serial);
-}
-
-// The event-queue backend is the third execution knob: the calendar
-// queue must reproduce the heap oracle's bytes at every shard and
-// worker count, because both dispatch the identical (time, seq)
-// order. This is the cross-backend acceptance gate; the per-operation
-// cross-check lives in test_calendar_queue.
-TEST(Ensemble, BitIdenticalAcrossQueueBackends)
-{
-    EnsembleConfig cfg = baseConfig();
-    cfg.queue = sim::QueueKind::Heap;
-    std::string ref = identityJson(runEnsemble(cfg));
-
-    cfg.queue = sim::QueueKind::Calendar;
-    for (unsigned shards : {1u, 2u, 8u}) {
+    // workers = 0 means min(shards, hardware).
+    const std::pair<unsigned, unsigned> knobs[] = {
+        {4, 2}, {4, 0}, {8, 4}};
+    for (auto [shards, workers] : knobs) {
         cfg.shards = shards;
-        for (unsigned workers : {1u, 2u}) {
-            if (workers > shards)
-                continue;
-            cfg.workers = workers;
-            EXPECT_EQ(identityJson(runEnsemble(cfg)), ref)
-                << "calendar shards=" << shards
-                << " workers=" << workers;
-        }
+        cfg.workers = workers;
+        EXPECT_EQ(identityJson(runEnsemble(cfg)), serial)
+            << "shards=" << shards << " workers=" << workers;
     }
 }
 
@@ -294,9 +275,9 @@ TEST(Ensemble, ReportAccountingCloses)
 
 // fast-mode/2 keeps the exact engine's execution-knob invariance: the
 // macro-event engine must produce one byte stream per seed regardless
-// of shards, workers, or event-queue backend, and reproduce it on a
-// repeat run. (Bit-identity *across* engines is exactly what fast
-// mode gives up; that boundary is gated statistically.)
+// of shards or workers, and reproduce it on a repeat run.
+// (Bit-identity *across* engines is exactly what fast mode gives up;
+// that boundary is gated statistically.)
 TEST(EnsembleFast, BitIdenticalAcrossExecutionKnobs)
 {
     EnsembleConfig cfg = baseConfig();
@@ -305,18 +286,14 @@ TEST(EnsembleFast, BitIdenticalAcrossExecutionKnobs)
     std::string ref = identityJson(runEnsemble(cfg));
     EXPECT_EQ(identityJson(runEnsemble(cfg)), ref) << "repeat run";
 
-    for (auto kind : {sim::QueueKind::Heap, sim::QueueKind::Calendar})
-        for (unsigned shards : {1u, 2u, 8u})
-            for (unsigned workers : {1u, 2u}) {
-                if (workers > shards)
-                    continue;
-                cfg.queue = kind;
-                cfg.shards = shards;
-                cfg.workers = workers;
-                EXPECT_EQ(identityJson(runEnsemble(cfg)), ref)
-                    << sim::queueKindName(kind) << " shards=" << shards
-                    << " workers=" << workers;
-            }
+    const std::pair<unsigned, unsigned> knobs[] = {
+        {2, 1}, {2, 2}, {8, 1}, {8, 2}, {8, 4}};
+    for (auto [shards, workers] : knobs) {
+        cfg.shards = shards;
+        cfg.workers = workers;
+        EXPECT_EQ(identityJson(runEnsemble(cfg)), ref)
+            << "shards=" << shards << " workers=" << workers;
+    }
 }
 
 // The contract version is stamped into fast reports and absent from
