@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "perfsim/calibration.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -31,9 +30,7 @@ struct Req {
     sim::EventId timeoutEv = 0;
     // Demands drawn once at first issue; retries resend the same work
     // (no extra RNG draws, so fault timing never perturbs the stream).
-    double cpuWork = 0.0;
-    double diskService = 0.0;
-    double netMb = 0.0;
+    perfsim::StationWork work;
 };
 
 } // namespace
@@ -161,18 +158,18 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
             }
         };
         auto netStage = [&, req, finish, node] {
-            if (req->netMb > 0.0)
-                node->nic->submit(req->netMb, finish);
+            if (req->work.netMb > 0.0)
+                node->nic->submit(req->work.netMb, finish);
             else
                 finish();
         };
         auto diskStage = [&, req, netStage, node] {
-            if (req->diskService > 0.0)
-                node->disk->submit(req->diskService, netStage);
+            if (req->work.diskService > 0.0)
+                node->disk->submit(req->work.diskService, netStage);
             else
                 netStage();
         };
-        node->cpu->submit(req->cpuWork, diskStage);
+        node->cpu->submit(req->work.cpuWork, diskStage);
 
         req->timeoutEv = eq.scheduleAfter(timeout, [&, req] {
             req->timeoutEv = 0;
@@ -192,17 +189,7 @@ simulateAvailability(workloads::InteractiveWorkload &workload,
         auto req = std::make_shared<Req>();
         req->firstIssue = now;
         auto demand = workload.nextRequest(loadRng);
-        req->cpuWork = demand.cpuWork * st.serviceSlowdown;
-        if (demand.diskReadBytes > 0.0 &&
-            !loadRng.bernoulli(st.diskCacheHitRate))
-            req->diskService +=
-                st.diskAccessMs * 1e-3 +
-                demand.diskReadBytes / (st.diskReadMBs * 1e6);
-        if (demand.diskWriteBytes > 0.0)
-            req->diskService +=
-                st.diskAccessMs * 1e-3 * perfsim::writeAccessFactor +
-                demand.diskWriteBytes / (st.diskWriteMBs * 1e6);
-        req->netMb = demand.netBytes / 1e6;
+        req->work = perfsim::stationWork(demand, st, loadRng);
         issue(req);
         eq.scheduleAfter(loadRng.exponential(1.0 / params.offeredRps),
                          arrive);

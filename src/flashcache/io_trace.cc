@@ -67,7 +67,7 @@ ioProfileFor(workloads::Benchmark b)
 
 namespace {
 
-/** 4 KB-block frame count of a flash device (FlashCache's sizing). */
+/** 4 KB-block frame count of a flash device. */
 std::size_t
 flashFrames(const FlashSpec &spec)
 {
@@ -78,10 +78,9 @@ flashFrames(const FlashSpec &spec)
 }
 
 /**
- * Assemble an outcome from replay counts: the same arithmetic
- * FlashCache's own stats produce (every miss is a read-allocate
- * insertion of one 4 KB block, so wear = misses * blockBytes spread
- * over the device).
+ * Assemble an outcome from replay counts. Every miss is a
+ * read-allocate insertion of one 4 KB block, so wear = misses *
+ * blockBytes spread over the device, under ideal wear leveling.
  */
 FlashCacheOutcome
 outcomeFrom(const FlashSpec &spec, std::uint64_t totalMisses,
@@ -131,7 +130,7 @@ evaluateFlashCachePolicy(workloads::Benchmark b, const FlashSpec &spec,
     auto profile = ioProfileFor(b);
     memblade::TraceGenerator gen(profile, Rng(seed));
 
-    // Warm up on the first half; measure the second half. FlashCache's
+    // Warm up on the first half; measure the second half. The device's
     // native policy is LRU with read-allocate, which the batched LRU
     // kernel replays exactly; the zoo policies model replacing the
     // device's front-end policy wholesale.

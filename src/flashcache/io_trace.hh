@@ -7,15 +7,18 @@
  * mailboxes, and videos that cycle in and out of DRAM) plus sequential
  * runs. Profiles reuse the memblade trace generator with block-space
  * parameters; per-workload flash hit rates come from replaying these
- * traces through the FlashCache simulator.
+ * traces through the memblade replay kernels, with the device modelled
+ * as a 4 KB-block LRU cache with read-allocate (after Kgil & Mudge's
+ * FlashCache, applied per paper Section 3.5).
  */
 
 #ifndef WSC_FLASHCACHE_IO_TRACE_HH
 #define WSC_FLASHCACHE_IO_TRACE_HH
 
+#include <cstdint>
 #include <vector>
 
-#include "flashcache/flash_cache.hh"
+#include "flashcache/devices.hh"
 #include "memblade/replacement.hh"
 #include "memblade/trace.hh"
 #include "workloads/suite.hh"

@@ -26,7 +26,6 @@
 #include <cmath>
 #include <memory>
 
-#include "perfsim/calibration.hh"
 #include "perfsim/fast_demand.hh"
 #include "perfsim/request_arena.hh"
 #include "stats/percentile.hh"
@@ -135,32 +134,19 @@ beginRequest(DriverState &s)
     auto demand = s.fastDemands.enabled()
                       ? s.fastDemands.draw(*s.workload)
                       : s.workload->nextRequest(*s.rng);
-    double cpu_work = demand.cpuWork * s.st->serviceSlowdown;
-    double disk_service = 0.0;
-    if (demand.diskReadBytes > 0.0 &&
-        !s.rng->bernoulli(s.st->diskCacheHitRate)) {
-        disk_service +=
-            s.st->diskAccessMs * 1e-3 +
-            demand.diskReadBytes / (s.st->diskReadMBs * 1e6);
-    }
-    if (demand.diskWriteBytes > 0.0) {
-        disk_service +=
-            s.st->diskAccessMs * 1e-3 * writeAccessFactor +
-            demand.diskWriteBytes / (s.st->diskWriteMBs * 1e6);
-    }
-    double net_mb = demand.netBytes / 1e6;
+    StationWork work = stationWork(demand, *s.st, *s.rng);
 
     RequestHandle h = s.arena.acquire();
     Request &r = s.arena.get(h);
     r.issued = issued;
-    r.cpuWork = cpu_work;
-    r.diskService = disk_service;
-    r.netMb = net_mb;
+    r.cpuWork = work.cpuWork;
+    r.diskService = work.diskService;
+    r.netMb = work.netMb;
 
     if (s.requestTimeout <= 0.0) {
         // Classic driver: the handle is always live when a stage
         // completes, so continuations carry only {driver, handle}.
-        s.cpu->submit(cpu_work,
+        s.cpu->submit(work.cpuWork,
                       [sp = &s, h] { advance(*sp, h, Stage::Cpu); });
         return;
     }

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
-#include "perfsim/calibration.hh"
 #include "perfsim/fast_demand.hh"
 #include "perfsim/request_arena.hh"
-#include "perfsim/throughput.hh"
 #include "stats/percentile.hh"
+#include "stats/summary.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -29,14 +28,6 @@ to_string(DispatchPolicy p)
     panic("unknown dispatch policy");
 }
 
-bool
-ClusterSimResult::passes(const workloads::QosSpec &qos) const
-{
-    if (saturated || completed == 0)
-        return false;
-    return qosViolationFraction <= (1.0 - qos.quantile);
-}
-
 namespace {
 
 /** One server's stations plus dispatch bookkeeping. */
@@ -48,11 +39,12 @@ struct ServerNode {
 };
 
 /**
- * Pooled per-request state: as in closed_loop.cc / server_sim.cc, the
- * slot carries the demand and the dispatch target so continuations
- * capture only {simulation pointer, handle}.
+ * Pooled per-request state: as in closed_loop.cc, one arena slot per
+ * in-flight request carries the demand and the dispatch target, so the
+ * continuations of the staged advance() dispatcher capture only
+ * {simulation pointer, handle} and fit InlineAction's inline storage.
  */
-struct ClusterRequest {
+struct OpenRequest {
     double arrival = 0.0;
     double diskService = 0.0;
     double netMb = 0.0;
@@ -63,7 +55,7 @@ struct ClusterRequest {
 enum class Stage : unsigned { Cpu, Disk, Net };
 
 /** All run state the continuations need, behind one pointer. */
-struct ClusterSim {
+struct OpenLoopSim {
     workloads::InteractiveWorkload &workload;
     const StationConfig &st;
     const SimWindow &window;
@@ -76,27 +68,29 @@ struct ClusterSim {
     sim::EventQueue eq;
     std::vector<ServerNode> nodes;
     stats::PercentileTracker latencies;
+    stats::Summary latencySummary;
     workloads::QosSpec qos;
-    RequestArena<ClusterRequest> arena;
-    ClusterSimResult result;
-    std::uint64_t offered = 0;
+    RequestArena<OpenRequest> arena;
+    SimResult result;
     std::uint64_t violations = 0;
     std::size_t totalInFlight = 0;
     bool aborted = false;
     unsigned rrNext = 0;
     FastDemandSource fastDemands;
 
-    ClusterSim(workloads::InteractiveWorkload &workload,
-               const StationConfig &st, unsigned servers,
-               DispatchPolicy policy, double rps,
-               const SimWindow &window, Rng &rng)
+    OpenLoopSim(workloads::InteractiveWorkload &workload,
+                const StationConfig &st, unsigned servers,
+                DispatchPolicy policy, double rps,
+                const SimWindow &window, Rng &rng)
         : workload(workload), st(st), window(window), rng(rng),
           servers(servers), policy(policy), rps(rps),
           horizon(window.warmupSeconds + window.measureSeconds),
           nodes(servers), qos(workload.qos())
     {
+        // A lone server's stations keep their plain names: they reach
+        // the report's bottleneck field.
         for (unsigned i = 0; i < servers; ++i) {
-            auto tag = std::to_string(i);
+            auto tag = servers == 1 ? std::string() : std::to_string(i);
             nodes[i].cpu = std::make_unique<sim::PsResource>(
                 eq, "cpu" + tag, st.cpuCapacityGHz, st.cpuSlots);
             nodes[i].disk = std::make_unique<sim::FifoResource>(
@@ -138,56 +132,46 @@ struct ClusterSim {
     }
 };
 
-void clusterAdvance(ClusterSim &s, RequestHandle h, Stage done);
+void openAdvance(OpenLoopSim &s, RequestHandle h, Stage done);
 
+/** Dispatch one request and enter the CPU stage. */
 void
-clusterLaunch(ClusterSim &s, double arrival, bool measured)
+openLaunch(OpenLoopSim &s, double arrival, bool measured)
 {
     std::uint32_t nodeIdx = s.pick();
     ServerNode &node = s.nodes[nodeIdx];
     ++node.inFlight;
     ++s.totalInFlight;
+    if (s.totalInFlight > s.result.peakInFlight)
+        s.result.peakInFlight = s.totalInFlight;
     auto demand = s.fastDemands.enabled()
                       ? s.fastDemands.draw(s.workload)
                       : s.workload.nextRequest(s.rng);
-    double cpu_work = demand.cpuWork * s.st.serviceSlowdown;
-    double disk_service = 0.0;
-    if (demand.diskReadBytes > 0.0 &&
-        !s.rng.bernoulli(s.st.diskCacheHitRate)) {
-        disk_service += s.st.diskAccessMs * 1e-3 +
-                        demand.diskReadBytes /
-                            (s.st.diskReadMBs * 1e6);
-    }
-    if (demand.diskWriteBytes > 0.0) {
-        disk_service +=
-            s.st.diskAccessMs * 1e-3 * writeAccessFactor +
-            demand.diskWriteBytes / (s.st.diskWriteMBs * 1e6);
-    }
-    double net_mb = demand.netBytes / 1e6;
+    StationWork work = stationWork(demand, s.st, s.rng);
 
     RequestHandle h = s.arena.acquire();
-    ClusterRequest &r = s.arena.get(h);
+    OpenRequest &r = s.arena.get(h);
     r.arrival = arrival;
-    r.diskService = disk_service;
-    r.netMb = net_mb;
+    r.diskService = work.diskService;
+    r.netMb = work.netMb;
     r.nodeIdx = nodeIdx;
     r.measured = measured;
 
-    node.cpu->submit(cpu_work, [sp = &s, h] {
-        clusterAdvance(*sp, h, Stage::Cpu);
-    });
+    node.cpu->submit(work.cpuWork,
+                     [sp = &s, h] { openAdvance(*sp, h, Stage::Cpu); });
 }
 
+/** Staged dispatcher; zero-demand stages fall through synchronously. */
 void
-clusterAdvance(ClusterSim &s, RequestHandle h, Stage done)
+openAdvance(OpenLoopSim &s, RequestHandle h, Stage done)
 {
-    ClusterRequest &r = s.arena.get(h);
+    OpenRequest &r = s.arena.get(h);
     ServerNode &node = s.nodes[r.nodeIdx];
     switch (done) {
       case Stage::Cpu:
         if (r.diskService > 0.0) {
             node.disk->submit(r.diskService, [sp = &s, h] {
-                clusterAdvance(*sp, h, Stage::Disk);
+                openAdvance(*sp, h, Stage::Disk);
             });
             return;
         }
@@ -195,7 +179,7 @@ clusterAdvance(ClusterSim &s, RequestHandle h, Stage done)
       case Stage::Disk:
         if (r.netMb > 0.0) {
             node.nic->submit(r.netMb, [sp = &s, h] {
-                clusterAdvance(*sp, h, Stage::Net);
+                openAdvance(*sp, h, Stage::Net);
             });
             return;
         }
@@ -206,8 +190,10 @@ clusterAdvance(ClusterSim &s, RequestHandle h, Stage done)
         double latency = s.eq.now() - r.arrival;
         if (r.measured) {
             s.latencies.add(latency);
+            s.latencySummary.add(latency);
             ++s.result.completed;
-            // Strict QoS boundary: latency == limit violates.
+            // Strict QoS: the paper requires latency < limit, so
+            // exactly-at-the-limit responses are violations.
             if (latency >= s.qos.latencyLimit)
                 ++s.violations;
         }
@@ -217,8 +203,9 @@ clusterAdvance(ClusterSim &s, RequestHandle h, Stage done)
     }
 }
 
+/** Poisson arrival process. */
 void
-clusterArrive(ClusterSim &s)
+openArrive(OpenLoopSim &s)
 {
     if (s.aborted)
         return;
@@ -230,16 +217,16 @@ clusterArrive(ClusterSim &s)
     if (now < s.horizon) {
         bool measured = now >= s.window.warmupSeconds;
         if (measured)
-            ++s.offered;
-        clusterLaunch(s, now, measured);
+            ++s.result.offered;
+        openLaunch(s, now, measured);
         s.eq.scheduleAfter(s.rng.exponential(1.0 / s.rps),
-                           [sp = &s] { clusterArrive(*sp); });
+                           [sp = &s] { openArrive(*sp); });
     }
 }
 
 } // namespace
 
-ClusterSimResult
+SimResult
 simulateCluster(workloads::InteractiveWorkload &workload,
                 const StationConfig &st, unsigned servers,
                 DispatchPolicy policy, double rps,
@@ -248,35 +235,47 @@ simulateCluster(workloads::InteractiveWorkload &workload,
     WSC_ASSERT(servers >= 1, "empty cluster");
     WSC_ASSERT(rps > 0.0, "offered load must be positive");
 
-    ClusterSim s(workload, st, servers, policy, rps, window, rng);
+    OpenLoopSim s(workload, st, servers, policy, rps, window, rng);
+    if (window.tracer)
+        s.eq.setTracer(window.tracer);
     s.result.offeredRps = rps;
 
     s.eq.scheduleAfter(rng.exponential(1.0 / rps),
-                       [sp = &s] { clusterArrive(*sp); });
+                       [sp = &s] { openArrive(*sp); });
 
+    // Run to the horizon, then drain a grace period so in-flight
+    // requests can complete (or reveal saturation).
     s.eq.run(s.horizon);
     double grace = s.horizon + std::max(30.0, 5.0 * s.qos.latencyLimit);
     while (!s.eq.empty() && s.eq.now() < grace && !s.aborted)
         s.eq.step();
 
-    ClusterSimResult result = s.result;
-    result.saturated =
-        s.aborted || s.totalInFlight > 0 ||
-        (s.offered > 0 &&
-         double(result.completed) < 0.97 * double(s.offered));
-    if (s.latencies.count() > 0)
+    SimResult result = std::move(s.result);
+    result.saturated = s.aborted || s.totalInFlight > 0;
+    if (s.latencies.count() > 0) {
+        result.p50Latency = s.latencies.quantile(0.50);
         result.p95Latency = s.latencies.quantile(0.95);
+        result.p99Latency = s.latencies.quantile(0.99);
+        result.meanLatency = s.latencySummary.mean();
+    }
     result.qosViolationFraction =
-        s.offered ? double(s.violations) / double(s.offered) : 0.0;
+        result.offered ? double(s.violations) / double(result.offered)
+                       : 0.0;
 
-    double util_sum = 0.0, util_max = 0.0;
     for (auto &n : s.nodes) {
         double u = n.cpu->utilization();
-        util_sum += u;
-        util_max = std::max(util_max, u);
+        result.cpuUtilization += u;
+        result.maxCpuUtilization = std::max(result.maxCpuUtilization, u);
+        result.diskUtilization += n.disk->utilization();
+        result.nicUtilization += n.nic->utilization();
+        result.stations.push_back(n.cpu->stats());
+        result.stations.push_back(n.disk->stats());
+        result.stations.push_back(n.nic->stats());
     }
-    result.meanCpuUtilization = util_sum / double(servers);
-    result.maxCpuUtilization = util_max;
+    result.cpuUtilization /= double(servers);
+    result.diskUtilization /= double(servers);
+    result.nicUtilization /= double(servers);
+    result.kernel = s.eq.counters();
     return result;
 }
 

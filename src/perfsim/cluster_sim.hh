@@ -1,6 +1,6 @@
 /**
  * @file
- * Multi-server cluster simulation with load dispatch.
+ * The open-loop request engine: N servers behind a load dispatcher.
  *
  * The paper's performance model "makes the simplifying assumption that
  * cluster-level performance can be approximated by the aggregation of
@@ -50,25 +50,12 @@ enum class DispatchPolicy {
 
 std::string to_string(DispatchPolicy p);
 
-/** Result of one fixed-rate cluster simulation. */
-struct ClusterSimResult {
-    double offeredRps = 0.0;
-    std::uint64_t completed = 0;
-    double p95Latency = 0.0;
-    double qosViolationFraction = 0.0;
-    bool saturated = false;
-    /** Peak imbalance: max over servers of in-flight, at the end. */
-    double meanCpuUtilization = 0.0;
-    double maxCpuUtilization = 0.0;
-
-    bool passes(const workloads::QosSpec &qos) const;
-};
-
 /**
  * Simulate @p servers identical servers under @p policy at cluster
- * arrival rate @p rps.
+ * arrival rate @p rps. This is the one open-loop request engine:
+ * simulateInteractive is its one-server, round-robin case.
  */
-ClusterSimResult simulateCluster(
+SimResult simulateCluster(
     workloads::InteractiveWorkload &workload,
     const StationConfig &stations, unsigned servers,
     DispatchPolicy policy, double rps, const SimWindow &window,

@@ -2,15 +2,16 @@
  * @file
  * Block-refilled service-demand source for fast mode.
  *
- * All three request engines (closed_loop, server_sim, cluster_sim)
- * draw one ServiceDemand per request from the run's Rng. In fast mode
- * demands instead come from this source: a workloads::BatchStream of
- * dedicated child streams (derived via Rng::stream from the run seed,
- * so the seed still fully determines every draw) consumed a block at
- * a time through InteractiveWorkload::nextRequestBatch, which lets
- * the workload generate structure-of-arrays, overlap its guide-table
- * cache misses via sim::SampleBatcher, and source bulk uniforms from
- * the cheap SplitMix64 engine.
+ * Both request engines (closed_loop and the open-loop engine in
+ * cluster_sim) draw one ServiceDemand per request from the run's Rng.
+ * In fast mode demands instead come from this source: a
+ * workloads::BatchStream of dedicated child streams (derived via
+ * Rng::stream from the run seed, so the seed still fully determines
+ * every draw) consumed a block at a time through
+ * InteractiveWorkload::nextRequestBatch, which lets the workload
+ * generate structure-of-arrays, overlap its guide-table cache misses
+ * via sim::SampleBatcher, and source bulk uniforms from the cheap
+ * SplitMix64 engine.
  *
  * These are exactly the relaxations the fast-mode contract
  * (sim/fast_mode.hh) declares: the per-request demand law is

@@ -1,6 +1,7 @@
 /**
  * @file
- * Request-level discrete-event model of one server.
+ * Request-level model of an interactive server: station capacities,
+ * the demand-to-station-work rule, and the one-server open-loop run.
  *
  * A request visits three stations in series:
  *
@@ -11,7 +12,9 @@
  * Station capacities come from the platform description and the
  * per-workload calibration (perfsim/calibration.hh). Latency is
  * arrival-to-response; sustainable throughput is determined by the
- * ThroughputFinder against the workload's QoS constraint.
+ * ThroughputFinder against the workload's QoS constraint. The open-loop
+ * engine itself lives in cluster_sim.cc: a single server is the
+ * one-server cluster run.
  */
 
 #ifndef WSC_PERFSIM_SERVER_SIM_HH
@@ -59,7 +62,23 @@ StationConfig makeStations(const platform::ServerConfig &server,
                            const platform::CpuModel &ref,
                            const workloads::WorkloadTraits &traits);
 
-/** Result of one fixed-rate simulation run. */
+/** What one request asks of each station. */
+struct StationWork {
+    double cpuWork = 0.0;     //!< GHz-seconds, slowdown applied
+    double diskService = 0.0; //!< seconds of disk service
+    double netMb = 0.0;       //!< megabytes through the NIC
+};
+
+/**
+ * Map a drawn @p demand onto the stations of @p st. A read misses the
+ * page cache with probability 1 - diskCacheHitRate; that bernoulli is
+ * drawn from @p rng only when the demand reads, so every request
+ * engine keeps the draw order nextRequest, then the cache-hit test.
+ */
+StationWork stationWork(const workloads::ServiceDemand &demand,
+                        const StationConfig &st, Rng &rng);
+
+/** Result of one fixed-rate open-loop run of one or more servers. */
 struct SimResult {
     double offeredRps = 0.0;
     std::uint64_t offered = 0;    //!< requests injected in measurement
@@ -69,14 +88,20 @@ struct SimResult {
     double p99Latency = 0.0;
     double meanLatency = 0.0;
     double qosViolationFraction = 0.0; //!< at or above the QoS limit
+    /** Station utilizations, each the mean over servers. */
     double cpuUtilization = 0.0;
     double diskUtilization = 0.0;
     double nicUtilization = 0.0;
-    bool saturated = false; //!< run aborted: unbounded queue growth
+    /** Busiest server's CPU utilization (dispatch imbalance). */
+    double maxCpuUtilization = 0.0;
+    /** Run aborted on unbounded queue growth, or requests were still
+     * in flight after the grace drain. */
+    bool saturated = false;
 
     /** Peak requests simultaneously in the system. */
     std::size_t peakInFlight = 0;
-    /** Per-station activity snapshots (cpu, disk, nic). */
+    /** Per-station activity snapshots: cpu, disk, nic for one server;
+     * cpuI, diskI, nicI per server I of a cluster, in server order. */
     std::vector<sim::StationStats> stations;
     /** DES kernel activity for this run. */
     sim::EventQueue::Counters kernel;
@@ -103,10 +128,10 @@ struct SimWindow {
     sim::EventQueue::Tracer tracer;
     /**
      * Versioned fast mode (sim/fast_mode.hh). Off by default, leaving
-     * every run bit-identical to the seed behaviour. When enabled,
-     * simulateInteractive and simulateCluster source demands from a
-     * dedicated batched stream; results are statistically equivalent
-     * (gated by stats/equivalence.hh) but not bit-identical. Rides
+     * every run bit-identical to the seed behaviour. When enabled, the
+     * open-loop engine sources demands from a dedicated batched
+     * stream; results are statistically equivalent (gated by
+     * stats/equivalence.hh) but not bit-identical. Rides
      * inside SearchParams, so it reaches the throughput search and
      * the wsc_eval sweeps without further plumbing.
      */
@@ -115,7 +140,8 @@ struct SimWindow {
 
 /**
  * Run one open-loop (Poisson arrivals) simulation of an interactive
- * workload at @p rps on the given stations.
+ * workload at @p rps on the given stations: simulateCluster with one
+ * server under round-robin dispatch, which makes no dispatch draw.
  */
 SimResult simulateInteractive(workloads::InteractiveWorkload &workload,
                               const StationConfig &stations,

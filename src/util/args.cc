@@ -164,6 +164,20 @@ ArgParser::getDouble(const std::string &name) const
     }
 }
 
+std::uint64_t
+ArgParser::getCount(const std::string &name, std::uint64_t lo,
+                    std::uint64_t hi) const
+{
+    WSC_ASSERT(lo <= hi && hi <= maxCount,
+               "bad count range for --" << name);
+    double d = getDouble(name);
+    if (d != std::floor(d) || d < double(lo) || d > double(hi))
+        fatal("option --" + name + " expects an integer in [" +
+              std::to_string(lo) + ", " + std::to_string(hi) +
+              "], got '" + get(name) + "'");
+    return std::uint64_t(d);
+}
+
 bool
 ArgParser::flag(const std::string &name) const
 {

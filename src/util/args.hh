@@ -11,6 +11,7 @@
 #ifndef WSC_UTIL_ARGS_HH
 #define WSC_UTIL_ARGS_HH
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,6 +47,19 @@ class ArgParser
 
     /** Option parsed as a finite double; anything else is fatal. */
     double getDouble(const std::string &name) const;
+
+    /** Largest bound getCount accepts: every integer up to 2^53 is
+     * exact in a double, so an accepted count is the one given. */
+    static constexpr std::uint64_t maxCount = std::uint64_t(1) << 53;
+
+    /**
+     * Option parsed as an integer count in [@p lo, @p hi]. Accepts any
+     * getDouble spelling of an integer ("4", "2e6"); a fraction, a
+     * negative, a non-finite value or one outside the range is fatal,
+     * so no caller converts an unchecked double to an unsigned type.
+     */
+    std::uint64_t getCount(const std::string &name, std::uint64_t lo,
+                           std::uint64_t hi) const;
 
     /** Flag state. */
     bool flag(const std::string &name) const;

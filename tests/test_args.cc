@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "util/args.hh"
 #include "util/logging.hh"
 
@@ -194,6 +197,49 @@ TEST(Args, NonNumericDoubleFatal)
         const char *argv[] = {"tool", "--tariff", bad};
         EXPECT_TRUE(p.parse(3, argv));
         EXPECT_THROW(p.getDouble("tariff"), FatalError) << bad;
+    }
+}
+
+TEST(Args, CountAcceptsIntegersInRange)
+{
+    ArgParser p("tool", "t");
+    p.addOption("seed", "seed", "7");
+    const char *dflt[] = {"tool"};
+    EXPECT_TRUE(p.parse(1, dflt));
+    EXPECT_EQ(p.getCount("seed", 0, 64), 7u);
+    for (auto [text, want] :
+         {std::pair<const char *, std::uint64_t>{"0", 0},
+          {"64", 64},
+          {"2e1", 20}}) {
+        const char *argv[] = {"tool", "--seed", text};
+        EXPECT_TRUE(p.parse(3, argv));
+        EXPECT_EQ(p.getCount("seed", 0, 64), want) << text;
+    }
+    const char *top[] = {"tool", "--seed", "9007199254740992"};
+    EXPECT_TRUE(p.parse(3, top));
+    EXPECT_EQ(p.getCount("seed", 0, ArgParser::maxCount),
+              ArgParser::maxCount);
+}
+
+TEST(Args, CountRejectsFractionsNegativesAndOutOfRange)
+{
+    // Each of these used to reach an unsigned cast in some tool: -1
+    // and 1e30 are undefined float-to-unsigned conversions, 2.5
+    // truncated silently, nan compared false against every bound.
+    const std::uint64_t top = ArgParser::maxCount;
+    for (auto [bad, hi] :
+         {std::pair<const char *, std::uint64_t>{"-1", top},
+          {"2.5", top},
+          {"1e30", top},
+          {"nan", top},
+          {"1e16", top},
+          {"65", 64},
+          {"cheap", 64}}) {
+        ArgParser p("tool", "t");
+        p.addOption("seed", "seed", "0");
+        const char *argv[] = {"tool", "--seed", bad};
+        EXPECT_TRUE(p.parse(3, argv));
+        EXPECT_THROW(p.getCount("seed", 0, hi), FatalError) << bad;
     }
 }
 

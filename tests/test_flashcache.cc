@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "flashcache/devices.hh"
-#include "flashcache/flash_cache.hh"
 #include "flashcache/io_trace.hh"
 #include "flashcache/storage.hh"
 #include "platform/catalog.hh"
+#include "util/units.hh"
 
 namespace {
 
@@ -48,102 +48,6 @@ TEST(Devices, Table3aParameters)
     EXPECT_DOUBLE_EQ(flash.eraseLatencyMs, 1.2);
 }
 
-TEST(Cache, HitOnSecondAccess)
-{
-    FlashCache cache(FlashSpec{});
-    EXPECT_FALSE(cache.lookup(7));
-    EXPECT_TRUE(cache.lookup(7));
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().lookups, 2u);
-}
-
-TEST(Cache, CapacityInBlocks)
-{
-    FlashCache cache(FlashSpec{}, 4.0);
-    // 1 GiB / 4 KiB = 262144 blocks.
-    EXPECT_EQ(cache.capacityBlocks(), 262144u);
-}
-
-TEST(Cache, LruEvictionUnderPressure)
-{
-    FlashSpec tiny;
-    tiny.capacityGB = 4.0 * 2 / (1024.0 * 1024.0); // two 4 KB blocks
-    FlashCache cache(tiny);
-    ASSERT_EQ(cache.capacityBlocks(), 2u);
-    cache.lookup(1);
-    cache.lookup(2);
-    EXPECT_TRUE(cache.lookup(1));  // 1 MRU
-    cache.lookup(3);               // evicts 2
-    EXPECT_TRUE(cache.lookup(1));
-    EXPECT_FALSE(cache.lookup(2));
-    EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-TEST(Cache, ReinsertResidentAtCapacityIsIdempotent)
-{
-    // Regression: insert on an already-resident block used to evict a
-    // victim, push a duplicate recency node, and overwrite the map
-    // iterator — leaving a stale node that a later eviction erased
-    // out from under the live MRU block.
-    FlashSpec tiny;
-    tiny.capacityGB = 4.0 * 3 / (1024.0 * 1024.0); // three 4 KB blocks
-    FlashCache cache(tiny);
-    ASSERT_EQ(cache.capacityBlocks(), 3u);
-
-    cache.admit(1);
-    cache.admit(2);
-    cache.admit(3);
-    ASSERT_EQ(cache.residentBlocks(), 3u);
-
-    // Re-admitting a resident block at capacity must not evict,
-    // duplicate, or write.
-    auto evictions = cache.stats().evictions;
-    auto written = cache.stats().bytesWrittenToFlash;
-    cache.admit(2);
-    EXPECT_EQ(cache.stats().evictions, evictions);
-    EXPECT_EQ(cache.stats().bytesWrittenToFlash, written);
-    EXPECT_EQ(cache.residentBlocks(), 3u);
-    EXPECT_EQ(cache.lruChainLength(), cache.residentBlocks());
-
-    // Re-admission refreshed 2's recency: pressure now evicts 1 (the
-    // true LRU), and all surviving blocks still hit.
-    cache.admit(4);
-    EXPECT_EQ(cache.residentBlocks(), 3u);
-    EXPECT_EQ(cache.lruChainLength(), cache.residentBlocks());
-    EXPECT_FALSE(cache.lookup(1)); // miss re-inserts 1, evicting 3
-    EXPECT_TRUE(cache.lookup(2));
-    EXPECT_TRUE(cache.lookup(4));
-
-    // Churn the same working set hard; the map and recency list must
-    // never diverge.
-    for (int round = 0; round < 100; ++round) {
-        cache.admit(BlockId(round % 5));
-        cache.writeBlock(BlockId((round * 3) % 5));
-        cache.lookup(BlockId((round * 7) % 5));
-        ASSERT_LE(cache.residentBlocks(), cache.capacityBlocks());
-        ASSERT_EQ(cache.lruChainLength(), cache.residentBlocks());
-    }
-}
-
-TEST(Cache, WriteBlockTracksWear)
-{
-    FlashCache cache(FlashSpec{});
-    auto before = cache.stats().bytesWrittenToFlash;
-    cache.writeBlock(1);
-    cache.writeBlock(1);
-    EXPECT_GT(cache.stats().bytesWrittenToFlash, before);
-}
-
-TEST(Cache, LifetimeMath)
-{
-    FlashCache cache(FlashSpec{});
-    // Writing the full 1 GiB device once per day: 100k cycles is
-    // about 274 years.
-    double bytes_per_sec = 1.0 * 1024 * 1024 * 1024 / 86400.0;
-    EXPECT_NEAR(cache.lifetimeYears(bytes_per_sec), 100000.0 / 365.0,
-                2.0);
-}
-
 TEST(IoTrace, ProfilesForAllBenchmarks)
 {
     for (auto b : workloads::allBenchmarks) {
@@ -175,6 +79,30 @@ TEST(IoTrace, LifetimeWithinDepreciationForInteractive)
     auto ws = evaluateFlashCache(workloads::Benchmark::Websearch, spec,
                                  400000, 5e6, 2);
     EXPECT_GT(ws.lifetimeYears, 3.0);
+}
+
+TEST(IoTrace, LifetimeIsClosedFormOfHitRate)
+{
+    // Read-allocate: flash absorbs one block write per miss, so the
+    // write rate is the missed share of the disk-read traffic and the
+    // device lasts capacity / rate * endurance. Exact, not near: the
+    // projection is plain arithmetic on the measured hit rate.
+    FlashSpec spec;
+    const double readBytesPerSecond = 5e6;
+    for (auto b : {workloads::Benchmark::Websearch,
+                   workloads::Benchmark::Ytube}) {
+        auto out = evaluateFlashCache(b, spec, 200000,
+                                      readBytesPerSecond, 4);
+        ASSERT_GT(out.hitRate, 0.0);
+        ASSERT_LT(out.hitRate, 1.0);
+        double writeRate = readBytesPerSecond * (1.0 - out.hitRate);
+        double seconds = spec.capacityGB * units::GiB / writeRate *
+                         spec.enduranceCycles;
+        EXPECT_EQ(out.lifetimeYears,
+                  seconds / (units::hoursPerYear *
+                             units::secondsPerHour))
+            << workloads::to_string(b);
+    }
 }
 
 TEST(IoTrace, SweepMatchesPerSpecEvaluationExactly)

@@ -209,9 +209,7 @@ main(int argc, char **argv)
         if (!args.parse(argc, argv))
             return 0;
 
-        double threads = args.getDouble("threads");
-        if (threads < 0 || threads > 4096)
-            fatal("--threads must be in [0, 4096]");
+        auto threads = args.getCount("threads", 0, 4096);
         ThreadPool::setGlobalThreads(unsigned(threads));
 
         EvaluatorParams params;
@@ -219,10 +217,8 @@ main(int argc, char **argv)
         params.burden.activityFactor = args.getDouble("activity");
         params.search.window.warmupSeconds = args.getDouble("warmup");
         params.search.window.measureSeconds = args.getDouble("measure");
-        double iters = args.getDouble("search-iters");
-        if (iters < 1 || iters > 64)
-            fatal("--search-iters must be in [1, 64]");
-        params.search.iterations = unsigned(iters);
+        params.search.iterations =
+            unsigned(args.getCount("search-iters", 1, 64));
         params.search.window.fastMode.enabled = args.flag("fast-mode");
 
         // --trace installs a shared (thread-safe) counting sink on
@@ -251,10 +247,8 @@ main(int argc, char **argv)
         AvailabilityEvalParams availParams;
         if (spec.any()) {
             availParams.spec = spec;
-            double servers = args.getDouble("avail-servers");
-            if (servers < 1 || servers > 4096)
-                fatal("--avail-servers must be in [1, 4096]");
-            availParams.servers = unsigned(servers);
+            availParams.servers =
+                unsigned(args.getCount("avail-servers", 1, 4096));
             availParams.horizonSeconds = args.getDouble("avail-horizon");
             availParams.epochSeconds = args.getDouble("avail-epoch");
             availParams.loadFactor = args.getDouble("avail-load");
@@ -344,35 +338,23 @@ main(int argc, char **argv)
         std::vector<obs::EnsembleReport> ensembleEntries;
         if (args.flag("ensemble")) {
             EnsembleEvalParams ep;
-            double eServers = args.getDouble("ensemble-servers");
-            if (eServers < 1 || eServers > 1e6)
-                fatal("--ensemble-servers must be in [1, 1e6]");
-            ep.energy.servers = unsigned(eServers);
+            ep.energy.servers =
+                unsigned(args.getCount("ensemble-servers", 1, 1000000));
             // Price both models off the evaluated design's server.
             ep.energy.wattsPerServer = design.server.totalWatts();
             ep.energy.activityFactor = params.burden.activityFactor;
-            double eCells = args.getDouble("ensemble-cells");
-            if (eCells < 1 || eCells > 4096)
-                fatal("--ensemble-cells must be in [1, 4096]");
-            ep.cells = unsigned(eCells);
-            double eShards = args.getDouble("ensemble-shards");
-            if (eShards < 1 || eShards > 4096)
-                fatal("--ensemble-shards must be in [1, 4096]");
-            ep.shards = unsigned(eShards);
-            double eWorkers = args.getDouble("ensemble-workers");
-            if (eWorkers < 0 || eWorkers > 4096)
-                fatal("--ensemble-workers must be in [0, 4096]");
-            ep.workers = unsigned(eWorkers);
+            ep.cells = unsigned(args.getCount("ensemble-cells", 1, 4096));
+            ep.shards =
+                unsigned(args.getCount("ensemble-shards", 1, 4096));
+            ep.workers =
+                unsigned(args.getCount("ensemble-workers", 0, 4096));
             // Couple the fleet to the evaluated design: its relative
             // performance (harmonic mean over the suite, vs the
             // baseline) scales per-request service demand, so the
             // policy ranking reflects the platform being evaluated.
             ep.designName = design.name;
             ep.serviceDemandScale = agg.perf;
-            double eHours = args.getDouble("ensemble-hours");
-            if (eHours < 1 || eHours > 24)
-                fatal("--ensemble-hours must be in [1, 24]");
-            ep.hours = unsigned(eHours);
+            ep.hours = unsigned(args.getCount("ensemble-hours", 1, 24));
             ep.secondsPerHour =
                 args.getDouble("ensemble-seconds-per-hour");
             if (ep.secondsPerHour <= 0.0)
@@ -380,10 +362,8 @@ main(int argc, char **argv)
             ep.powerCapWatts = args.getDouble("ensemble-power-cap");
             if (ep.powerCapWatts < 0.0)
                 fatal("--ensemble-power-cap must be >= 0");
-            double eSeed = args.getDouble("ensemble-seed");
-            if (eSeed < 0)
-                fatal("--ensemble-seed must be >= 0");
-            ep.seed = std::uint64_t(eSeed);
+            ep.seed =
+                args.getCount("ensemble-seed", 0, ArgParser::maxCount);
             ep.mmpp.enabled = args.flag("ensemble-mmpp");
             ep.fast.enabled = args.flag("fast-mode");
 
@@ -456,7 +436,7 @@ main(int argc, char **argv)
         std::string report_path = args.get("report");
         if (!report_path.empty()) {
             auto report = buildSweepReport(evaluator, cells, "wsc_eval",
-                                           std::uint64_t(threads));
+                                           threads);
             report.avail = availEntries;
             report.ensemble = ensembleEntries;
             if (args.flag("fast-mode"))

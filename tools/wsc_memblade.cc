@@ -140,31 +140,22 @@ main(int argc, char **argv)
             return 0;
 
         auto policy = policyFromString(args.get("policy"));
-        auto seed = std::uint64_t(args.getDouble("seed"));
-
-        // getDouble + unsigned cast wraps on negatives; range-check
-        // every count-like option before converting.
-        auto countOption = [&](const char *name, double lo, double hi) {
-            double v = args.getDouble(name);
-            if (v < lo || v > hi)
-                fatal(std::string("--") + name + " must be in [" +
-                      fmtF(lo, 0) + ", " + fmtF(hi, 0) + "]");
-            return std::size_t(v);
-        };
+        auto seed = args.getCount("seed", 0, ArgParser::maxCount);
+        // Frame and access counts share one ceiling.
+        const std::uint64_t maxSize = 1000000000000;
 
         HierarchyParams hp;
         bool hierarchical = !args.get("hierarchy").empty();
         if (hierarchical) {
             hp.mode = hierarchyModeFromString(args.get("hierarchy"));
-            hp.l2Frames = countOption("l2-frames", 1, 1e12);
-            hp.prefetchDepth = countOption("prefetch-depth", 0, 1e6);
-            hp.prefetchFrames = countOption("prefetch-frames", 0, 1e9);
+            hp.l2Frames = args.getCount("l2-frames", 1, maxSize);
+            hp.prefetchDepth =
+                args.getCount("prefetch-depth", 0, 1000000);
+            hp.prefetchFrames =
+                args.getCount("prefetch-frames", 0, 1000000000);
         }
 
-        double curve_pts = args.getDouble("curve");
-        if (curve_pts < 0.0 || curve_pts > 1e6)
-            fatal("--curve must be in [0, 1e6]");
-        auto points = unsigned(curve_pts);
+        auto points = unsigned(args.getCount("curve", 0, 1000000));
 
         ReplayStats stats;
         double touch_rate = 0.0;
@@ -172,7 +163,8 @@ main(int argc, char **argv)
 
         if (!args.get("trace").empty()) {
             const std::string path = args.get("trace");
-            auto frames = countOption("frames", 1, 1e12);
+            auto frames =
+                std::size_t(args.getCount("frames", 1, maxSize));
             bool streaming = endsWith(path, ".strace");
             if (hierarchical) {
                 hp.l1Frames = frames;
@@ -213,7 +205,7 @@ main(int argc, char **argv)
         } else {
             auto b = parseBenchmark(args.get("benchmark"));
             auto profile = profileFor(b);
-            auto n = std::uint64_t(countOption("accesses", 0, 1e12));
+            auto n = args.getCount("accesses", 0, maxSize);
             if (!args.get("generate").empty()) {
                 auto trace = generateTrace(profile, n, Rng(seed));
                 saveTrace(args.get("generate"), trace);

@@ -103,13 +103,8 @@ main(int argc, char **argv)
             // Generator source.
             auto b = parseBenchmark(args.get("benchmark"));
             auto profile = profileFor(b);
-            // getDouble + unsigned cast wraps on negatives; reject
-            // out-of-range counts before converting.
-            double nd = args.getDouble("accesses");
-            if (nd < 0.0 || nd > 1e12)
-                fatal("--accesses must be in [0, 1e12]");
-            auto n = std::uint64_t(nd);
-            auto seed = std::uint64_t(args.getDouble("seed"));
+            auto n = args.getCount("accesses", 0, 1000000000000);
+            auto seed = args.getCount("seed", 0, ArgParser::maxCount);
             if (out.empty() && !args.flag("stats"))
                 fatal("generator mode needs --out (or --stats)");
             if (!out.empty() && endsWith(out, ".strace")) {
