@@ -343,21 +343,17 @@ run(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    double epochsArg = args.getDouble("epochs");
-    if (epochsArg < 1.0 || epochsArg > 1000.0)
-        fatal("--epochs must be in [1, 1000]");
+    auto epochs = unsigned(args.getCount("epochs", 1, 1000));
     double epochSecArg = args.getDouble("epoch-seconds");
     if (epochSecArg <= 0.0 || epochSecArg > 1e6)
         fatal("--epoch-seconds must be in (0, 1e6]");
-    double gateSeedsArg = args.getDouble("gate-seeds");
-    if (gateSeedsArg < 2.0 || gateSeedsArg > 64.0)
-        fatal("--gate-seeds must be in [2, 64]");
+    auto gateSeedCount = unsigned(args.getCount("gate-seeds", 2, 64));
 
     PerfEvaluator ev;
     auto srvr2 = platform::makeSystem(platform::SystemClass::Srvr2);
 
     ClosedLoopParams classic;
-    classic.epochs = unsigned(epochsArg);
+    classic.epochs = epochs;
     classic.epochSeconds = epochSecArg;
 
     ClosedLoopParams timeout = classic;
@@ -447,7 +443,7 @@ run(int argc, char **argv)
 
     // ---- Statistical-equivalence gate ----
     std::vector<std::uint64_t> gateSeeds;
-    for (unsigned i = 0; i < unsigned(gateSeedsArg); ++i)
+    for (unsigned i = 0; i < gateSeedCount; ++i)
         gateSeeds.push_back(1001 + 7 * i);
 
     std::cout << "\n=== Equivalence gate (" << gateSeeds.size()

@@ -143,32 +143,17 @@ run(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    double serversArg = args.getDouble("servers");
-    if (serversArg < 1 || serversArg > 4e6)
-        fatal("--servers must be in [1, 4e6]");
-    double repsArg = args.getDouble("reps");
-    if (repsArg < 1 || repsArg > 100)
-        fatal("--reps must be in [1, 100]");
-    unsigned reps = unsigned(repsArg);
-    double gateSeedsArg = args.getDouble("gate-seeds");
-    if (gateSeedsArg < 2 || gateSeedsArg > 8)
-        fatal("--gate-seeds must be in [2, 8]");
-    unsigned gateSeeds = unsigned(gateSeedsArg);
-    double cellsArg = args.getDouble("cells");
-    if (cellsArg < 1 || cellsArg > 4096)
-        fatal("--cells must be in [1, 4096]");
-    double hoursArg = args.getDouble("hours");
-    if (hoursArg < 1 || hoursArg > 24)
-        fatal("--hours must be in [1, 24]");
+    perfsim::EnsembleConfig cfg;
+    cfg.servers = args.getCount("servers", 1, 4000000);
+    auto reps = unsigned(args.getCount("reps", 1, 100));
+    auto gateSeeds = unsigned(args.getCount("gate-seeds", 2, 8));
+    cfg.cells = unsigned(args.getCount("cells", 1, 4096));
+    cfg.hours = unsigned(args.getCount("hours", 1, 24));
     double sph = args.getDouble("seconds-per-hour");
     if (sph <= 0.0)
         fatal("--seconds-per-hour must be positive");
     unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
 
-    perfsim::EnsembleConfig cfg;
-    cfg.servers = std::uint64_t(serversArg);
-    cfg.cells = unsigned(cellsArg);
-    cfg.hours = unsigned(hoursArg);
     cfg.secondsPerHour = sph;
     // Sustained full load rather than a diurnal valley: the bench
     // stresses kernel throughput at the fleet's design-point depth

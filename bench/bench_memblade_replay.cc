@@ -122,10 +122,8 @@ run(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    double accessesArg = args.getDouble("accesses");
-    if (accessesArg < 1.0 || accessesArg > 1e9)
-        fatal("--accesses must be in [1, 1e9]");
-    const auto accesses = std::uint64_t(accessesArg);
+    const std::uint64_t accesses =
+        args.getCount("accesses", 1, 1000000000);
     const std::uint64_t seed = 42;
     auto profile = profileFor(workloads::Benchmark::Websearch);
     auto frames =

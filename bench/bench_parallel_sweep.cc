@@ -129,10 +129,7 @@ run(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    double threadsArg = args.getDouble("threads");
-    if (threadsArg < 0 || threadsArg > 4096)
-        fatal("--threads must be in [0, 4096]");
-    unsigned threads = unsigned(threadsArg);
+    auto threads = unsigned(args.getCount("threads", 0, 4096));
     if (threads == 0)
         threads = ThreadPool::defaultThreads();
     unsigned hw = std::thread::hardware_concurrency();

@@ -229,10 +229,7 @@ run(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    double drawsArg = args.getDouble("draws");
-    if (drawsArg < 1000.0 || drawsArg > 1e9)
-        fatal("--draws must be in [1e3, 1e9]");
-    std::size_t draws = std::size_t(drawsArg);
+    auto draws = std::size_t(args.getCount("draws", 1000, 1000000000));
 
     std::cout << "=== Guide-table sampling throughput (" << draws
               << " draws, best of " << kTimedReps << ") ===\n\n";

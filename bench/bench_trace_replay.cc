@@ -114,14 +114,10 @@ run(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
 
-    double accessesArg = args.getDouble("accesses");
-    if (accessesArg < 1.0 || accessesArg > 2e9)
-        fatal("--accesses must be in [1, 2e9]");
-    const auto accesses = std::uint64_t(accessesArg);
-    double zooArg = args.getDouble("zoo-accesses");
-    if (zooArg < 1.0 || zooArg > 1e8)
-        fatal("--zoo-accesses must be in [1, 1e8]");
-    const auto zooAccesses = std::uint64_t(zooArg);
+    const std::uint64_t accesses =
+        args.getCount("accesses", 1, 2000000000);
+    const std::uint64_t zooAccesses =
+        args.getCount("zoo-accesses", 1, 100000000);
     const std::string tracePath = args.get("trace-file");
     bool allIdentical = true;
 

@@ -41,16 +41,10 @@ DesignEvaluator::perfOptionsFor(const DesignConfig &design) const
 {
     perfsim::PerfOptions opts;
     opts.search = params_.search;
-    if (design.storage) {
-        // Benchmark-independent overrides only; the flash hit rate is
-        // filled per benchmark by the caller.
-        auto storage_opts = flashcache::perfOptionsFor(
-            *design.storage, workloads::Benchmark::Websearch);
-        opts.diskOverride = storage_opts.diskOverride;
-        opts.extraDiskAccessMs = storage_opts.extraDiskAccessMs;
-        opts.flashAccessMs = storage_opts.flashAccessMs;
-        opts.flashReadMBs = storage_opts.flashReadMBs;
-    }
+    // Benchmark-independent overrides only; the flash hit rate is
+    // filled per benchmark by the caller.
+    if (design.storage)
+        flashcache::applyStorageOverrides(*design.storage, opts);
     if (design.memorySharing)
         opts.serviceSlowdown =
             1.0 + design.bladeParams.assumedSlowdown;

@@ -85,18 +85,26 @@ flashHitRateFor(workloads::Benchmark b, const FlashSpec &spec)
 
 } // namespace
 
-perfsim::PerfOptions
-perfOptionsFor(const StorageOption &option, workloads::Benchmark b)
+void
+applyStorageOverrides(const StorageOption &option,
+                      perfsim::PerfOptions &opts)
 {
-    perfsim::PerfOptions opts;
     opts.diskOverride = option.disk;
     if (option.disk.remote)
         opts.extraDiskAccessMs = sanAccessOverheadMs;
     if (option.hasFlashCache) {
-        opts.flashCacheHitRate = flashHitRateFor(b, option.flash);
         opts.flashAccessMs = option.flash.readLatencyUs * 1e-3;
         opts.flashReadMBs = option.flash.bandwidthMBs;
     }
+}
+
+perfsim::PerfOptions
+perfOptionsFor(const StorageOption &option, workloads::Benchmark b)
+{
+    perfsim::PerfOptions opts;
+    applyStorageOverrides(option, opts);
+    if (option.hasFlashCache)
+        opts.flashCacheHitRate = flashHitRateFor(b, option.flash);
     return opts;
 }
 

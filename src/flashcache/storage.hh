@@ -48,9 +48,19 @@ struct StorageOption {
 };
 
 /**
+ * Apply @p option's benchmark-independent overrides to @p opts: the
+ * disk model, the SAN access overhead of a remote disk and the flash
+ * device's latency and bandwidth. Leaves the flash hit rate alone and
+ * replays nothing.
+ */
+void applyStorageOverrides(const StorageOption &option,
+                           perfsim::PerfOptions &opts);
+
+/**
  * Performance-model overrides for @p option when running benchmark
- * @p b. Flash hit rates come from replaying the benchmark's I/O trace
- * (cached internally per benchmark).
+ * @p b: applyStorageOverrides plus the flash hit rate, which comes
+ * from replaying the benchmark's I/O trace (cached internally per
+ * benchmark).
  */
 perfsim::PerfOptions perfOptionsFor(const StorageOption &option,
                                     workloads::Benchmark b);

@@ -1,13 +1,62 @@
 #include "memblade/stack_distance.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
 
 namespace wsc {
 namespace memblade {
+
+namespace {
+
+/** Set bits in @p x: portable SWAR, so baseline x86-64 builds make no
+ * library call for it. */
+inline std::uint32_t
+popcount64(std::uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555u;
+    x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+    return std::uint32_t((x * 0x0101010101010101u) >> 56);
+}
+
+/** The low @p n (0..4) 16-bit lanes of a word. */
+inline std::uint64_t
+lowLanes16(std::uint32_t n)
+{
+    // Two shifts so that n == 4 wraps to all ones without a 64-bit
+    // shift.
+    return (std::uint64_t(1) << (8 * n) << (8 * n)) - 1;
+}
+
+/** Sum of a word's four 16-bit lanes (the sum must fit in 16 bits). */
+inline std::uint32_t
+laneSum16(std::uint64_t x)
+{
+    return std::uint32_t((x * 0x0001000100010001u) >> 48);
+}
+
+/** Sum of the first @p k (0..7) of eight 16-bit lanes in two words. */
+inline std::uint32_t
+lanePrefix16(const std::uint64_t *pair, std::uint32_t k)
+{
+    std::uint32_t lo = std::min(k, 4u), hi = std::max(k, 4u) - 4;
+    return laneSum16(pair[0] & lowLanes16(lo)) +
+           laneSum16(pair[1] & lowLanes16(hi));
+}
+
+/** Sum of the first @p k (0..7) byte lanes of @p x. */
+inline std::uint32_t
+bytePrefix(std::uint64_t x, std::uint32_t k)
+{
+    x &= (std::uint64_t(1) << (8 * k)) - 1;
+    // Widen to 16-bit lanes: seven full words hold up to 448 marks.
+    x = (x & 0x00ff00ff00ff00ffu) + ((x >> 8) & 0x00ff00ff00ff00ffu);
+    return laneSum16(x);
+}
+
+} // namespace
 
 StackDistanceEngine::StackDistanceEngine(std::uint64_t pageBound,
                                          std::uint64_t maxAccesses)
@@ -18,67 +67,75 @@ StackDistanceEngine::StackDistanceEngine(std::uint64_t pageBound,
                "trace too long for 32-bit timestamps");
     last.assign(std::size_t(pageBound), 0);
     capacity_ = std::uint32_t(maxAccesses);
-    // One mark bit per timestamp (1-based; slot 0 unused) plus the
-    // block and superblock rank counters, all sized for the whole
-    // trace up front.
-    live.assign((std::size_t(maxAccesses) >> kWordShift) + 1, 0);
-    blockCnt.assign((std::size_t(maxAccesses) >> kBlockShift) + 1, 0);
-    superCnt.assign((std::size_t(maxAccesses) >> kSuperShift) + 1, 0);
-    // Distances are < min(pageBound, maxAccesses); sizing the
-    // histogram up front keeps record() from ever growing it.
+    // One mark bit per timestamp (1-based; slot 0 unused) plus every
+    // count level, all sized for the whole trace up front. The lane
+    // arrays round up to whole 8-lane groups so that a prefix may read
+    // its sibling word.
+    auto t = std::size_t(maxAccesses);
+    live.assign((t >> kWordShift) + 1, 0);
+    wordCnt.assign((t >> kBlockShift) + 1, 0);
+    blockCnt.assign(((t >> kGroupShift) + 1) * 2, 0);
+    groupCnt.assign(((t >> kSuperShift) + 1) * 2, 0);
+    superCnt.assign((t >> kSuperShift) + 1, 0);
+    closedTree.assign(superCnt.size() + 1, 0);
+    // Distances are < min(pageBound, maxAccesses).
     hist.assign(std::size_t(std::min(pageBound, maxAccesses)) + 1, 0);
 }
 
 void
-StackDistanceEngine::setMark(std::uint32_t t)
+StackDistanceEngine::addMark(std::uint32_t t, std::uint64_t delta)
 {
-    live[t >> kWordShift] |= std::uint64_t(1) << (t & 63);
-    ++blockCnt[t >> kBlockShift];
-    ++superCnt[t >> kSuperShift];
-}
-
-void
-StackDistanceEngine::clearMark(std::uint32_t t)
-{
-    live[t >> kWordShift] &= ~(std::uint64_t(1) << (t & 63));
-    --blockCnt[t >> kBlockShift];
-    --superCnt[t >> kSuperShift];
+    // Only a live mark is removed, so no lane borrows from its
+    // neighbour; -1 << s is the lane's -1 in two's complement.
+    live[t >> kWordShift] ^= std::uint64_t(1) << (t & 63);
+    wordCnt[t >> kBlockShift] += delta << (8 * ((t >> kWordShift) & 7));
+    blockCnt[t >> (kBlockShift + 2)] +=
+        delta << (16 * ((t >> kBlockShift) & 3));
+    groupCnt[t >> (kGroupShift + 2)] +=
+        delta << (16 * ((t >> kGroupShift) & 3));
+    superCnt[t >> kSuperShift] += std::uint32_t(delta);
+    if ((t >> kSuperShift) != (now >> kSuperShift))
+        closedAdd(t >> kSuperShift, std::uint32_t(delta));
 }
 
 std::uint32_t
-StackDistanceEngine::rankAt(std::uint32_t t) const
+StackDistanceEngine::rankInSuper(std::uint32_t t) const
 {
-    std::size_t word = t >> kWordShift;
-    std::size_t block = t >> kBlockShift;
-    std::size_t super = t >> kSuperShift;
-    std::uint32_t s = 0;
-    // Whole superblocks below t, then whole blocks within t's
-    // superblock, then whole words within t's block: three short
-    // contiguous sums over arrays that stay cache-resident.
-    for (std::size_t i = 0; i < super; ++i)
-        s += superCnt[i];
-    for (std::size_t b = super << (kSuperShift - kBlockShift);
-         b < block; ++b)
-        s += blockCnt[b];
-    for (std::size_t w = block << (kBlockShift - kWordShift); w < word;
-         ++w)
-        s += std::uint32_t(std::popcount(live[w]));
-    // Partial word: bits 0 .. (t & 63) inclusive.
+    // Partial word: bits 0 .. (t & 63) inclusive; then the earlier
+    // words of t's block, blocks of its group and groups of its
+    // superblock, each a masked sum of sibling counts.
     std::uint64_t mask = ~std::uint64_t(0) >> (63 - (t & 63));
-    return s + std::uint32_t(std::popcount(live[word] & mask));
+    return popcount64(live[t >> kWordShift] & mask) +
+           bytePrefix(wordCnt[t >> kBlockShift],
+                      (t >> kWordShift) & 7) +
+           lanePrefix16(&blockCnt[(t >> kGroupShift) * 2],
+                        (t >> kBlockShift) & 7) +
+           lanePrefix16(&groupCnt[(t >> kSuperShift) * 2],
+                        (t >> kGroupShift) & 7);
 }
 
 void
-StackDistanceEngine::record(std::vector<std::uint32_t> &hist,
-                            std::uint64_t d)
+StackDistanceEngine::closedAdd(std::size_t s, std::uint32_t delta)
 {
-    if (d >= hist.size()) {
-        std::size_t sz = hist.empty() ? 64 : hist.size();
-        while (sz <= d)
-            sz *= 2;
-        hist.resize(sz, 0);
-    }
-    ++hist[d];
+    for (std::size_t i = s + 1; i < closedTree.size(); i += i & -i)
+        closedTree[i] += delta;
+}
+
+std::uint32_t
+StackDistanceEngine::closedPrefix(std::size_t s) const
+{
+    std::uint32_t sum = 0;
+    for (std::size_t i = s; i > 0; i -= i & -i)
+        sum += closedTree[i];
+    return sum;
+}
+
+void
+StackDistanceEngine::beginMeasurement()
+{
+    if (!measuring)
+        measuredHist.assign(hist.size(), 0);
+    measuring = true;
 }
 
 void
@@ -87,6 +144,11 @@ StackDistanceEngine::access(PageId page)
     WSC_ASSERT(page < last.size(), "page id beyond declared bound");
     WSC_ASSERT(now < capacity_, "engine capacity exceeded");
     ++now;
+    if ((now & ((1u << kSuperShift) - 1)) == 0) {
+        // The clock left a superblock: fold it into the tree.
+        std::size_t done = (now >> kSuperShift) - 1;
+        closedAdd(done, superCnt[done]);
+    }
     if (measuring)
         ++measuredAccesses_;
     std::uint32_t prev = last[page];
@@ -99,16 +161,22 @@ StackDistanceEngine::access(PageId page)
         // Marks in (prev, now-1] = distinct other pages since the
         // previous access; a C-frame LRU cache hits iff d < C. Every
         // distinct page seen so far holds exactly one live mark at a
-        // time <= now-1, so the full rank at now-1 is just the
-        // cold-miss count — only rankAt(prev) needs the bitmap.
-        std::uint64_t d = cold - rankAt(prev);
-        record(hist, d);
+        // time <= now-1. In the newest superblock the marks after
+        // prev are its count minus prev's rank; further back they
+        // are all marks (the cold-miss count) minus those up to prev.
+        std::uint32_t super = prev >> kSuperShift;
+        std::uint64_t below = super == (now >> kSuperShift)
+                                  ? cold - superCnt[super]
+                                  : closedPrefix(super);
+        std::uint64_t d = cold - below - rankInSuper(prev);
+        WSC_ASSERT(d < hist.size(), "stack distance out of range");
+        ++hist[d];
         if (measuring)
-            record(measuredHist, d);
+            ++measuredHist[d];
         // The page's mark moves from its old time to now.
-        clearMark(prev);
+        addMark(prev, kRemove);
     }
-    setMark(now);
+    addMark(now, 1);
     last[page] = now;
 }
 

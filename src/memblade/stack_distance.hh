@@ -12,16 +12,22 @@
  * (Figure 4b style curves) or flash-cache sizes collapse from N
  * replays to a single pass per workload.
  *
- * Reuse distances are computed with a ranked bitmap over last-access
- * timestamps: each live page contributes one mark (bit) at the time
- * of its most recent access, and two small count arrays — one per
- * 512-timestamp block, one per 64-block superblock — turn "marks at
- * times <= t" into a handful of contiguous sums plus at most eight
- * popcounts. The whole structure is ~1.04 bits per trace access
- * (256 KB for a 2M-access trace), so queries stay cache-resident
- * where a Fenwick tree of 32-bit nodes would wander an array 32x
- * larger. Total cost O(n * n/superblock) worst case but with tiny
- * constants; space O(n/8 + footprint).
+ * Reuse distances are counted on a bitmap over last-access
+ * timestamps: each live page holds one mark (bit) at the time of its
+ * most recent access, so the distance of a reuse is the number of
+ * marks in (prev, now-1]. Fixed 8-ary count levels sit above the
+ * bitmap — a byte count per 64-timestamp word, then 16-bit counts per
+ * 512- and 4096-timestamp span, packed several to a 64-bit word so
+ * that one masked multiply sums a prefix of siblings — and a count per
+ * 32768-timestamp superblock. A reuse inside the newest superblock is
+ * counted down from that superblock's total; an older one subtracts a
+ * Fenwick-tree prefix over the closed superblocks from the running
+ * distinct-page count. Either way a query is four masked lane sums,
+ * one inline popcount and at most log2(n / 32768) tree steps, and an
+ * access costs about the same at any trace length or reuse distance.
+ * The structure is ~1.16 bits per trace access (~290 KB for a
+ * 2M-access trace) and stays cache-resident; with the last-access
+ * table the engine takes ~n/7 bytes plus 4 bytes per page.
  *
  * Determinism contract: lruCurveForProfile consumes its Rng in
  * exactly the order replayProfile does, so curve.statsAt(frames) is
@@ -135,8 +141,9 @@ class StackDistanceEngine
      * Second prefetch stage, issued once the last-access slot has had
      * time to arrive: read the page's previous timestamp and pull its
      * bitmap line — the only randomly-indexed line in the query (the
-     * count arrays are small enough to stay resident). Purely a hint:
-     * a stale timestamp only mistrains the prefetch.
+     * count levels, under a seventh of the bitmap's size, mostly stay
+     * resident). Purely a hint: a stale timestamp only mistrains the
+     * prefetch.
      */
     void
     prefetchPaths(PageId page) const
@@ -153,31 +160,47 @@ class StackDistanceEngine
     }
 
     /** Subsequent accesses also count toward the measured window. */
-    void beginMeasurement() { measuring = true; }
+    void beginMeasurement();
 
     /** Build the cumulative curve from the histograms. */
     StackDistanceCurve finish() const;
 
   private:
-    /** Ranked-bitmap geometry: 64-bit words, 512-timestamp blocks
-     * (one cache line of bitmap), 64-block superblocks. */
+    /** Count-level geometry: 64-timestamp words, then 8-ary levels of
+     * 512 (block), 4096 (group) and 32768 (superblock) timestamps. */
     static constexpr std::uint32_t kWordShift = 6;
     static constexpr std::uint32_t kBlockShift = 9;
+    static constexpr std::uint32_t kGroupShift = 12;
     static constexpr std::uint32_t kSuperShift = 15;
 
-    void setMark(std::uint32_t t);
-    void clearMark(std::uint32_t t);
-    /** Live marks at times <= @p t (t >= 1). */
-    std::uint32_t rankAt(std::uint32_t t) const;
-    static void record(std::vector<std::uint32_t> &hist,
-                       std::uint64_t d);
+    /** addMark's delta that removes a mark: -1 mod 2^64. */
+    static constexpr std::uint64_t kRemove = ~std::uint64_t(0);
+
+    /** Set (@p delta 1) or clear (kRemove) the mark at @p t and move
+     * every count level with it. */
+    void addMark(std::uint32_t t, std::uint64_t delta);
+    /** Live marks at times <= @p t within t's superblock. */
+    std::uint32_t rankInSuper(std::uint32_t t) const;
+    /** Fenwick tree over closed superblocks: add @p delta at @p s. */
+    void closedAdd(std::size_t s, std::uint32_t delta);
+    /** Marks in the closed superblocks below @p s. */
+    std::uint32_t closedPrefix(std::size_t s) const;
 
     std::vector<std::uint32_t> last; //!< last[p] = time (1-based); 0 = never
-    std::vector<std::uint64_t> live;     //!< mark bit per timestamp
-    std::vector<std::uint16_t> blockCnt; //!< marks per 512 timestamps
-    std::vector<std::uint32_t> superCnt; //!< marks per 32768 timestamps
-    /** hist[d] counts; uint32 suffices (counts <= maxAccesses < 2^32)
-     * and halves the randomly-indexed footprint. */
+    std::vector<std::uint64_t> live; //!< mark bit per timestamp
+    /** Byte lane j of wordCnt[b] = marks in word j of block b. */
+    std::vector<std::uint64_t> wordCnt;
+    /** 16-bit lanes, four per word: marks per block, per group. */
+    std::vector<std::uint64_t> blockCnt, groupCnt;
+    std::vector<std::uint32_t> superCnt; //!< marks per superblock
+    /** Fenwick tree (1-based) over superCnt of the superblocks the
+     * clock has left; each is folded in when the clock leaves it.
+     * Removals add -1 mod 2^32. */
+    std::vector<std::uint32_t> closedTree;
+    /** hist[d] counts, sized for every possible distance; uint32
+     * suffices (counts <= maxAccesses < 2^32) and halves the
+     * randomly-indexed footprint. measuredHist is allocated by
+     * beginMeasurement. */
     std::vector<std::uint32_t> hist, measuredHist;
     std::uint32_t now = 0;
     std::uint32_t capacity_ = 0; //!< max access() calls

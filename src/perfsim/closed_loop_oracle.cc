@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <unordered_set>
 
 #include "perfsim/calibration.hh"
 #include "stats/percentile.hh"
@@ -32,6 +33,16 @@ namespace wsc {
 namespace perfsim {
 
 namespace {
+
+/** Per-request retry state (timeout-enabled path only). */
+struct ReqCtl {
+    bool resolved = false;
+    unsigned attempts = 0;
+    sim::EventId timeoutEv = 0;
+    /** Re-sends the same request; cleared on resolution to break the
+     * ctl -> closure -> ctl ownership cycle. */
+    std::function<void()> reissue;
+};
 
 /** Shared mutable state for the client population and epoch stats. */
 struct OracleState {
@@ -63,16 +74,10 @@ struct OracleState {
     // exact-mode reference by definition.
     bool collectSamples = false;
     std::vector<double> latencySamples;
-};
-
-/** Per-request retry state (timeout-enabled path only). */
-struct ReqCtl {
-    bool resolved = false;
-    unsigned attempts = 0;
-    sim::EventId timeoutEv = 0;
-    /** Re-sends the same request; cleared on resolution to break the
-     * ctl -> closure -> ctl ownership cycle. */
-    std::function<void()> reissue;
+    /** Unresolved requests of the timeout path: each is kept alive by
+     * its own reissue closure, so the run breaks those cycles when it
+     * ends. */
+    std::unordered_set<ReqCtl *> openCtls;
 };
 
 /** One client's think-request loop; stops when over the target. */
@@ -148,6 +153,7 @@ clientLoop(OracleState &s, double think_mean)
                 }
                 ctl->resolved = true;
                 ctl->reissue = nullptr;
+                s.openCtls.erase(ctl.get());
                 if (ctl->timeoutEv) {
                     s.eq.cancel(ctl->timeoutEv);
                     ctl->timeoutEv = 0;
@@ -195,10 +201,12 @@ clientLoop(OracleState &s, double think_mean)
                         ++s.epochGiveups;
                         ctl->resolved = true;
                         ctl->reissue = nullptr;
+                        s.openCtls.erase(ctl.get());
                         clientLoop(s, think_mean);
                     }
                 });
         };
+        s.openCtls.insert(ctl.get());
         ctl->reissue();
     });
 }
@@ -299,6 +307,12 @@ runClosedLoopOracle(workloads::InteractiveWorkload &workload,
     result.lateCompletions = s.lateCompletions;
     result.kernel = s.eq.counters();
     result.latencySamples = std::move(s.latencySamples);
+    // Release the still-unresolved requests. Swapping the closure out
+    // first keeps the ctl alive until its own member is empty.
+    for (ReqCtl *ctl : s.openCtls) {
+        std::function<void()> cycle;
+        cycle.swap(ctl->reissue);
+    }
     return result;
 }
 

@@ -166,6 +166,27 @@ TEST(Storage, FlashOptionsCarryHitRate)
     EXPECT_DOUBLE_EQ(opts.flashReadMBs, 50.0);
 }
 
+TEST(Storage, OverridesMatchPerfOptionsWithoutAHitRate)
+{
+    // The benchmark-independent part of perfOptionsFor, applied on
+    // top of existing options: everything but the flash hit rate.
+    for (const auto &option : StorageOption::all()) {
+        SCOPED_TRACE(option.name);
+        auto full =
+            perfOptionsFor(option, workloads::Benchmark::Websearch);
+        perfsim::PerfOptions opts;
+        opts.flashCacheHitRate = 0.125;
+        applyStorageOverrides(option, opts);
+        ASSERT_TRUE(opts.diskOverride.has_value());
+        EXPECT_EQ(opts.diskOverride->cls, full.diskOverride->cls);
+        EXPECT_EQ(opts.diskOverride->remote, full.diskOverride->remote);
+        EXPECT_EQ(opts.extraDiskAccessMs, full.extraDiskAccessMs);
+        EXPECT_EQ(opts.flashAccessMs, full.flashAccessMs);
+        EXPECT_EQ(opts.flashReadMBs, full.flashReadMBs);
+        EXPECT_EQ(opts.flashCacheHitRate, 0.125);
+    }
+}
+
 TEST(Storage, CostApplicationReplacesDiskAddsFlash)
 {
     auto emb1 = platform::makeSystem(platform::SystemClass::Emb1);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 
@@ -180,6 +181,130 @@ TEST(StackDistance, MeasuredWindowMatchesWindowedReplay)
     EXPECT_EQ(curve.measuredAccesses, w.measured.accesses);
     EXPECT_EQ(curve.measuredHitsAt(frames), w.measured.hits);
     EXPECT_EQ(curve.measuredColdMisses, w.measured.coldMisses);
+}
+
+/** Page draws for the engine's differential test. */
+enum class Draw { Skewed, Uniform, Cyclic, Mirror };
+
+/**
+ * @p n page ids. Skewed: mostly 8 hot pages, plus a cold tail whose
+ * rarest pages recur only after several 32768-timestamp superblocks
+ * at small stack distances. Uniform: 300 pages. Cyclic: a 600-page
+ * scan, so every reuse sits at the largest distance. Mirror: the same
+ * scan up then down, so a reuse after each turn ranks behind a dense
+ * run of live marks (full words and blocks before it).
+ */
+std::vector<PageId>
+drawTrace(Draw draw, std::uint64_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<PageId> trace(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        switch (draw) {
+          case Draw::Skewed:
+            if (rng.bernoulli(0.95)) {
+                trace[i] = rng.uniformInt(0, 7);
+            } else {
+                double u = rng.uniform();
+                trace[i] = 8 + PageId(500.0 * u * u * u);
+            }
+            break;
+          case Draw::Uniform:
+            trace[i] = rng.uniformInt(0, 299);
+            break;
+          case Draw::Cyclic:
+            trace[i] = i % 600;
+            break;
+          case Draw::Mirror:
+            trace[i] = i % 1200 < 600 ? i % 1200 : 1199 - i % 1200;
+            break;
+        }
+    }
+    return trace;
+}
+
+/** Cumulative hits from a distance histogram, trimmed the way
+ * StackDistanceCurve documents: one entry past the largest distance. */
+std::vector<std::uint64_t>
+cumulativeHits(std::vector<std::uint64_t> hist)
+{
+    while (!hist.empty() && hist.back() == 0)
+        hist.pop_back();
+    std::vector<std::uint64_t> cum(hist.size() + 1, 0);
+    for (std::size_t d = 0; d < hist.size(); ++d)
+        cum[d + 1] = cum[d] + hist[d];
+    return cum;
+}
+
+/**
+ * The oracle: a move-to-front LRU stack. A page's depth in the stack
+ * is its stack distance; accesses at index >= @p warmup also count
+ * toward the measured window.
+ */
+StackDistanceCurve
+naiveLruCurve(const std::vector<PageId> &trace, std::uint64_t warmup)
+{
+    StackDistanceCurve c;
+    std::vector<PageId> stack;
+    std::vector<std::uint64_t> hist, measuredHist;
+    for (std::uint64_t i = 0; i < trace.size(); ++i) {
+        bool measured = i >= warmup;
+        ++c.accesses;
+        c.measuredAccesses += measured;
+        auto it = std::find(stack.begin(), stack.end(), trace[i]);
+        if (it == stack.end()) {
+            ++c.coldMisses;
+            c.measuredColdMisses += measured;
+            stack.insert(stack.begin(), trace[i]);
+            continue;
+        }
+        auto d = std::size_t(it - stack.begin());
+        for (auto *h : {&hist, &measuredHist}) {
+            if (h == &measuredHist && !measured)
+                continue;
+            if (h->size() <= d)
+                h->resize(d + 1, 0);
+            ++(*h)[d];
+        }
+        std::rotate(stack.begin(), it, it + 1);
+    }
+    c.cumHits = cumulativeHits(hist);
+    c.measuredCumHits = cumulativeHits(measuredHist);
+    return c;
+}
+
+TEST(StackDistance, MatchesMoveToFrontStackAcrossCountBoundaries)
+{
+    // Trace lengths straddle every count level (64-timestamp words,
+    // 512 and 4096 spans, 32768 superblocks) and reach several closed
+    // superblocks, so tree prefixes take more than one step.
+    const std::uint64_t lengths[] = {
+        63,    64,    65,    511,   512,   513,    4095,  4096,
+        4097,  32767, 32768, 32769, 98305, 163843};
+    for (auto draw :
+         {Draw::Skewed, Draw::Uniform, Draw::Cyclic, Draw::Mirror}) {
+        for (std::uint64_t n : lengths) {
+            SCOPED_TRACE(testing::Message()
+                         << "draw " << int(draw) << ", n " << n);
+            auto trace = drawTrace(draw, n, 1000 + n);
+            std::uint64_t warmup = n / 3;
+            auto want = naiveLruCurve(trace, warmup);
+
+            StackDistanceEngine eng(600, n);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                if (i == warmup)
+                    eng.beginMeasurement();
+                eng.access(trace[i]);
+            }
+            auto got = eng.finish();
+            EXPECT_EQ(got.accesses, want.accesses);
+            EXPECT_EQ(got.coldMisses, want.coldMisses);
+            EXPECT_EQ(got.measuredAccesses, want.measuredAccesses);
+            EXPECT_EQ(got.measuredColdMisses, want.measuredColdMisses);
+            EXPECT_EQ(got.cumHits, want.cumHits);
+            EXPECT_EQ(got.measuredCumHits, want.measuredCumHits);
+        }
+    }
 }
 
 TEST(ShardedReplay, IdenticalAcrossThreadCounts)

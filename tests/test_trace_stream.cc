@@ -366,6 +366,21 @@ TEST(TraceStream, LruCurveMatchesDirectReplays)
     }
 }
 
+TEST(TraceStream, LruCurveOfSingleAccessTrace)
+{
+    ScopedPath f("/tmp/wsc_ts_curve1.strace");
+    writeTraceStream(f.path, std::vector<PageId>{7});
+    TraceStream ts(f.path);
+    auto curve = lruCurveFromStream(ts);
+    EXPECT_EQ(curve.accesses, 1u);
+    EXPECT_EQ(curve.coldMisses, 1u);
+    EXPECT_EQ(curve.cumHits, std::vector<std::uint64_t>{0});
+    auto st = curve.statsAt(1);
+    EXPECT_EQ(st.hits, 0u);
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.coldMisses, 1u);
+}
+
 TEST(TraceStream, LoadSaveTraceDispatchOnStraceExtension)
 {
     ScopedPath f("/tmp/wsc_ts_dispatch.strace");
