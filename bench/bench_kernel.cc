@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation kernels: event
- * queue throughput, processor-sharing resource, Zipf sampling, and
- * the page-replacement policies that dominate the trace studies.
+ * queue throughput, processor-sharing resource, Rng draws, Zipf
+ * sampling, and the page-replacement policies that dominate the trace
+ * studies.
  */
 
 #include <benchmark/benchmark.h>
@@ -166,6 +167,26 @@ BM_PsResourceChurn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_PsResourceChurn)->Arg(64)->Arg(1024)->Arg(8192);
+
+void
+BM_RngUniform(benchmark::State &state)
+{
+    Rng rng(6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.uniform());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniform);
+
+void
+BM_RngExponential(benchmark::State &state)
+{
+    Rng rng(6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.exponential(2.5));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngExponential);
 
 void
 BM_ZipfSample(benchmark::State &state)

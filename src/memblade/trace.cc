@@ -90,13 +90,24 @@ TraceGenerator::TraceGenerator(TraceProfile profile, Rng rng_in)
 }
 
 PageId
-TraceGenerator::drawStart()
+TraceGenerator::startPage(bool hot, double u) const
 {
-    if (rng.bernoulli(p.hotProb)) {
-        // Hot pages occupy the low ids; Zipf rank 1 is hottest.
-        return hotDist.sampleRank(rng) - 1;
-    }
-    return hotPages + (coldDist.sampleRank(rng) - 1);
+    // Hot pages occupy the low ids; Zipf rank 1 is hottest.
+    const sim::ZipfDist &dist = hot ? hotDist : coldDist;
+    return (hot ? 0 : hotPages) + (dist.rankForUniform(u) - 1);
+}
+
+std::uint64_t
+TraceGenerator::drawRunLength()
+{
+    if (!(p.seqRunMean > 1.0))
+        return 0;
+    // Geometric run length with the configured mean.
+    double continue_prob = 1.0 - 1.0 / p.seqRunMean;
+    std::uint64_t len = 0;
+    while (rng.bernoulli(continue_prob) && len < 4096)
+        ++len;
+    return len;
 }
 
 PageId
@@ -104,56 +115,86 @@ TraceGenerator::next()
 {
     if (runLeft > 0) {
         --runLeft;
-        runPage = (runPage + 1) % p.footprintPages;
+        runPage = runPage + 1 == p.footprintPages ? 0 : runPage + 1;
         return runPage;
     }
-    runPage = drawStart();
-    if (p.seqRunMean > 1.0) {
-        // Geometric run length with the configured mean.
-        double continue_prob = 1.0 - 1.0 / p.seqRunMean;
-        std::uint64_t len = 0;
-        while (rng.bernoulli(continue_prob) && len < 4096)
-            ++len;
-        runLeft = len;
-    }
+    bool hot = rng.bernoulli(p.hotProb);
+    runPage = startPage(hot, rng.uniform());
+    runLeft = drawRunLength();
     return runPage;
 }
+
+std::size_t
+TraceGenerator::drainRun(PageId *out, std::size_t n)
+{
+    auto take = std::size_t(std::min<std::uint64_t>(runLeft, n));
+    if (runPage + take < p.footprintPages) {
+        PageId page = runPage;
+        for (std::size_t j = 0; j < take; ++j)
+            out[j] = ++page;
+        runPage = page;
+    } else {
+        for (std::size_t j = 0; j < take; ++j) {
+            runPage = runPage + 1 == p.footprintPages ? 0 : runPage + 1;
+            out[j] = runPage;
+        }
+    }
+    runLeft -= take;
+    return take;
+}
+
+namespace {
+
+/** One run start's draws, resolved later by nextBatch. */
+struct RunStart {
+    double u;          //!< the Zipf uniform
+    std::uint64_t len; //!< pages after the start page
+    bool hot;
+};
+
+/** Run starts drawn per nextBatch pass. */
+constexpr std::size_t kStartBlock = 64;
+
+} // namespace
 
 void
 TraceGenerator::nextBatch(PageId *out, std::size_t n)
 {
-    std::size_t i = 0;
+    RunStart starts[kStartBlock];
+    std::size_t i = drainRun(out, n);
     while (i < n) {
-        if (runLeft > 0) {
-            // Drain the pending run in one block. Runs draw no RNG,
-            // so this is where batching wins without perturbing the
-            // draw order.
-            auto take = std::size_t(
-                std::min<std::uint64_t>(runLeft, n - i));
-            if (runPage + take < p.footprintPages) {
-                PageId page = runPage;
-                for (std::size_t j = 0; j < take; ++j)
-                    out[i + j] = ++page;
-                runPage = page;
-            } else {
-                for (std::size_t j = 0; j < take; ++j) {
-                    runPage = (runPage + 1) % p.footprintPages;
-                    out[i + j] = runPage;
-                }
-            }
-            runLeft -= take;
-            i += take;
-            continue;
+        // Pass 1: draw a block of run starts. A run's draws (hot coin,
+        // Zipf uniform, length) never depend on the page it resolves
+        // to, so they come off the Rng in exactly the order n scalar
+        // next() calls take them, stopping at the run that reaches n.
+        // Each start's guide cell is prefetched.
+        std::size_t k = 0;
+        for (std::size_t covered = i; k < kStartBlock && covered < n;
+             ++k) {
+            RunStart &s = starts[k];
+            s.hot = rng.bernoulli(p.hotProb);
+            s.u = rng.uniform();
+            s.len = drawRunLength();
+            covered += 1 + s.len;
+            const auto &guide = (s.hot ? hotDist : coldDist).guideTable();
+            __builtin_prefetch(guide.cellPtr(guide.bucketOf(s.u)));
         }
-        runPage = drawStart();
-        if (p.seqRunMean > 1.0) {
-            double continue_prob = 1.0 - 1.0 / p.seqRunMean;
-            std::uint64_t len = 0;
-            while (rng.bernoulli(continue_prob) && len < 4096)
-                ++len;
-            runLeft = len;
+        // Pass 2: read the guide cells and prefetch the CDF lines the
+        // scans start at.
+        for (std::size_t j = 0; j < k; ++j) {
+            const RunStart &s = starts[j];
+            const sim::ZipfDist &dist = s.hot ? hotDist : coldDist;
+            std::uint32_t at = dist.guideTable().startOf(
+                dist.guideTable().bucketOf(s.u));
+            __builtin_prefetch(dist.cdfTable().data() + at);
         }
-        out[i++] = runPage;
+        // Pass 3: resolve each start and emit its run.
+        for (std::size_t j = 0; j < k; ++j) {
+            runPage = startPage(starts[j].hot, starts[j].u);
+            runLeft = starts[j].len;
+            out[i++] = runPage;
+            i += drainRun(out + i, n - i);
+        }
     }
 }
 
@@ -161,10 +202,8 @@ std::vector<PageId>
 generateTrace(const TraceProfile &profile, std::uint64_t n, Rng rng)
 {
     TraceGenerator gen(profile, rng);
-    std::vector<PageId> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        out.push_back(gen.next());
+    std::vector<PageId> out(n);
+    gen.nextBatch(out.data(), out.size());
     return out;
 }
 

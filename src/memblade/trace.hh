@@ -66,7 +66,8 @@ class TraceGenerator
      * calls — the generator state and every subsequent id are
      * identical whichever way the trace is pulled — but drains
      * sequential runs in blocks, so batched replay loops avoid the
-     * per-access call and branch overhead.
+     * per-access call and branch overhead, and draws run starts in
+     * blocks whose Zipf table lookups are prefetched together.
      */
     void nextBatch(PageId *out, std::size_t n);
 
@@ -82,7 +83,10 @@ class TraceGenerator
     PageId runPage = 0;
     std::uint64_t runLeft = 0;
 
-    PageId drawStart();
+    PageId startPage(bool hot, double u) const;
+    std::uint64_t drawRunLength();
+    /** Write up to @p n pages of the pending run; returns how many. */
+    std::size_t drainRun(PageId *out, std::size_t n);
 };
 
 /** Materialize @p n accesses (for tests and offline analysis). */

@@ -104,8 +104,8 @@ struct Cell {
      * many dispatch draws they burn). SplitMix64 (the sanctioned
      * fast generator, util/random.hh) rather than Rng: these streams
      * draw once or twice per event, and the counter-based generator
-     * is several times cheaper than mt19937_64 + std distributions
-     * while keeping the identity-seeded determinism contract. */
+     * is cheaper than Rng (about 2.5x per uniform) while keeping the
+     * identity-seeded determinism contract. */
     SplitMix64 rng{0};
     /** Arrival-side draws: inter-arrival delays, service times, MMPP
      * dwells. All of them are exponential, so they share one batch of

@@ -30,16 +30,19 @@ PercentileTracker::quantile(double q) const
 {
     WSC_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
     WSC_ASSERT(!samples.empty(), "quantile of empty tracker");
-    ensureSorted();
-    if (q <= 0.0)
-        return samples.front();
     // Nearest-rank: ceil(q * n) converted to a zero-based index.
     std::size_t rank = std::size_t(std::ceil(q * double(samples.size())));
     if (rank == 0)
         rank = 1;
     if (rank > samples.size())
         rank = samples.size();
-    return samples[rank - 1];
+    auto nth = samples.begin() + std::ptrdiff_t(rank - 1);
+    // Unsorted samples: select the one order statistic in O(n) rather
+    // than sorting all of them. The samples stay a permutation of what
+    // was added, so later queries (and the sorting ones) are unchanged.
+    if (!sorted)
+        std::nth_element(samples.begin(), nth, samples.end());
+    return *nth;
 }
 
 double

@@ -20,8 +20,10 @@ namespace stats {
 /**
  * Retains samples and computes exact quantiles on demand.
  *
- * Queries sort lazily; repeated queries without intervening inserts are
- * O(1) after the first.
+ * quantile() selects its order statistic with std::nth_element (O(n))
+ * unless the samples are already sorted; fractionAbove() and
+ * fractionAtLeast() sort lazily, after which every query is a lookup or
+ * a binary search until the next out-of-order insert.
  */
 class PercentileTracker
 {
@@ -33,7 +35,8 @@ class PercentileTracker
     std::size_t count() const { return samples.size(); }
 
     /**
-     * Exact quantile using nearest-rank on the sorted samples.
+     * Exact quantile using nearest-rank: the ceil(q * n)-th smallest
+     * sample (the smallest for q = 0).
      * @param q Quantile in [0, 1]; q=0.95 is the 95th percentile.
      */
     double quantile(double q) const;

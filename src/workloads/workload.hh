@@ -58,7 +58,7 @@ struct QosSpec {
  *
  * Batch overrides split their draws by cost profile: bulk guide-table
  * uniforms come from the counter-based `fast` engine (same law as
- * Rng::uniform on the 53-bit grid, several times cheaper, not
+ * Rng::uniform on the 53-bit grid, about 2.5x cheaper, not
  * bit-identical), while shaping draws that go through std::
  * distributions (lognormal multipliers) stay on the mt19937-backed
  * `rng`. Both children hang off the parent's construction seed via

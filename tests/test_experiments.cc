@@ -45,8 +45,9 @@ TEST(Experiments, EveryPaperArtifactRegistered)
 TEST(Experiments, ExtensionsHaveNoPaperReference)
 {
     for (const auto &e : allExperiments()) {
-        if (e.kind == ExperimentKind::Extension)
+        if (e.kind == ExperimentKind::Extension) {
             EXPECT_TRUE(e.paperReference.empty()) << e.id;
+        }
     }
 }
 

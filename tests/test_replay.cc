@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
+#include "flashcache/io_trace.hh"
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
 #include "memblade/trace_io.hh"
@@ -101,33 +103,63 @@ TEST(ReplayKernels, ReplayTraceMatchesLegacyPath)
     }
 }
 
+/**
+ * Every calibrated page and block profile, plus a small footprint
+ * whose sequential runs wrap past the last page many times.
+ */
+std::vector<TraceProfile>
+generatorProfiles()
+{
+    std::vector<TraceProfile> out;
+    for (auto b : workloads::allBenchmarks) {
+        out.push_back(profileFor(b));
+        out.push_back(flashcache::ioProfileFor(b));
+    }
+    TraceProfile wrap;
+    wrap.name = "tiny-wrapping-runs";
+    wrap.footprintPages = 37;
+    wrap.hotSetFraction = 0.2;
+    wrap.hotProb = 0.5;
+    wrap.seqRunMean = 20.0;
+    out.push_back(wrap);
+    return out;
+}
+
 TEST(TraceBatch, NextBatchMatchesScalarNext)
 {
-    for (auto b : {workloads::Benchmark::Websearch,
-                   workloads::Benchmark::MapredWc}) {
-        auto profile = profileFor(b);
+    for (const auto &profile : generatorProfiles()) {
         SCOPED_TRACE(profile.name);
-        TraceGenerator scalar(profile, Rng(33));
-        TraceGenerator batched(profile, Rng(33));
+        {
+            TraceGenerator scalar(profile, Rng(33));
+            TraceGenerator batched(profile, Rng(33));
 
-        // Ragged batch sizes, including 1 and sizes larger than the
-        // longest sequential run, to hit every drain path.
-        const std::size_t sizes[] = {1, 2, 3, 7, 64, 1000, 4096, 5};
-        std::vector<PageId> buf(4096);
-        std::size_t si = 0;
-        std::uint64_t checked = 0;
-        while (checked < 60000) {
-            std::size_t n = sizes[si++ % (sizeof(sizes) /
-                                          sizeof(sizes[0]))];
-            batched.nextBatch(buf.data(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                ASSERT_EQ(buf[i], scalar.next())
-                    << "at access " << checked + i;
-            checked += n;
+            // Ragged batch sizes, including 1 and sizes larger than
+            // the longest sequential run, to hit every drain path.
+            const std::size_t sizes[] = {1, 2, 3, 7, 64, 1000, 4096, 5};
+            std::vector<PageId> buf(4096);
+            std::size_t si = 0;
+            std::uint64_t checked = 0;
+            while (checked < 60000) {
+                std::size_t n = sizes[si++ % (sizeof(sizes) /
+                                              sizeof(sizes[0]))];
+                batched.nextBatch(buf.data(), n);
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(buf[i], scalar.next())
+                        << "at access " << checked + i;
+                checked += n;
+            }
+            // Both generators must land in the same state: interleave.
+            for (int i = 0; i < 100; ++i)
+                ASSERT_EQ(batched.next(), scalar.next());
         }
-        // Both generators must land in the same state: interleave.
-        for (int i = 0; i < 100; ++i)
-            ASSERT_EQ(batched.next(), scalar.next());
+        // generateTrace fills through nextBatch; n is prime, so it is
+        // no multiple of any block or run length.
+        const std::uint64_t n = 30011;
+        auto trace = generateTrace(profile, n, Rng(34));
+        ASSERT_EQ(trace.size(), n);
+        TraceGenerator scalar(profile, Rng(34));
+        for (std::uint64_t i = 0; i < n; ++i)
+            ASSERT_EQ(trace[i], scalar.next()) << "at access " << i;
     }
 }
 

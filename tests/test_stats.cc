@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -134,6 +135,50 @@ TEST(Percentile, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(p.quantile(0.5), 5.0);
     p.clear();
     EXPECT_EQ(p.count(), 0u);
+}
+
+/** Nearest-rank quantile of the sorted samples @p v. */
+double
+sortedQuantile(const std::vector<double> &v, double q)
+{
+    auto rank = std::size_t(std::ceil(q * double(v.size())));
+    rank = std::min(std::max<std::size_t>(rank, 1), v.size());
+    return v[rank - 1];
+}
+
+TEST(Percentile, SelectionMatchesSortedCopy)
+{
+    const double qs[] = {0.0, 1e-9, 0.5, 0.95, 0.99, 1.0};
+    Rng rng(17);
+    for (std::size_t n : {1, 2, 3, 10, 97, 1000, 9001}) {
+        SCOPED_TRACE(n);
+        PercentileTracker p;
+        std::vector<double> all;
+        // Coarse values so ties are common; queries interleave with
+        // adds, so selection runs on partially reordered samples and
+        // on data the fraction queries have already sorted.
+        const std::size_t every = std::max<std::size_t>(7, n / 40);
+        for (std::size_t i = 0; i < n; ++i) {
+            double x = double(rng.uniformInt(0, 40)) * 0.25;
+            p.add(x);
+            all.push_back(x);
+            if (i % every != 0 && i + 1 != n)
+                continue;
+            std::vector<double> sorted = all;
+            std::sort(sorted.begin(), sorted.end());
+            for (double q : qs)
+                ASSERT_EQ(p.quantile(q), sortedQuantile(sorted, q))
+                    << "q " << q << " after " << i + 1;
+            if (i % (3 * every) == 0) {
+                auto ge = std::lower_bound(sorted.begin(), sorted.end(),
+                                           5.0);
+                ASSERT_EQ(p.fractionAtLeast(5.0),
+                          double(sorted.end() - ge) /
+                              double(sorted.size()));
+            }
+        }
+        EXPECT_EQ(p.count(), n);
+    }
 }
 
 TEST(Percentile, EmptyQuantilePanics)

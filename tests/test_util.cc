@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -201,6 +206,121 @@ TEST(Rng, BernoulliFrequency)
     for (int i = 0; i < n; ++i)
         hits += r.bernoulli(0.3);
     EXPECT_NEAR(double(hits) / n, 0.3, 0.01);
+}
+
+// Rng's engine and conversions are in-house copies of std::mt19937_64
+// and libstdc++'s distributions; these tests pin them bit for bit.
+
+const std::uint64_t kIdentitySeeds[] = {
+    0, 1, 42, 5489, 0x5DEECE66DULL, ~std::uint64_t(0)};
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+static_assert(sizeof(Rng) ==
+                  sizeof(std::mt19937_64) + sizeof(std::uint64_t),
+              "Rng keeps the size it had over std::mt19937_64");
+
+TEST(Rng, RawOutputsMatchStdMt19937_64)
+{
+    for (std::uint64_t seed : kIdentitySeeds) {
+        SCOPED_TRACE(seed);
+        Rng r(seed);
+        std::mt19937_64 ref(seed);
+        std::uint64_t mismatches = 0, first = 0;
+        for (std::uint64_t i = 0; i < 2000000; ++i) {
+            if (r.raw()() != ref() && mismatches++ == 0)
+                first = i;
+        }
+        EXPECT_EQ(mismatches, 0u) << "first mismatch at draw " << first;
+    }
+    // [rand.predef]: the 10000th output of a default-seeded
+    // mt19937_64 (seed 5489) is 9981545732273789042.
+    Mt19937_64 e(5489);
+    for (int i = 1; i < 10000; ++i)
+        e();
+    EXPECT_EQ(e(), 9981545732273789042ULL);
+}
+
+TEST(Rng, DrawsMatchStdDistributions)
+{
+    const double bounds[][2] = {
+        {0.0, 1.0}, {-3.5, 2.25}, {1e-3, 1e6}, {5.0, 5.0}};
+    const double probs[] = {0.0, 1e-6, 0.3, 0.5, 0.999, 1.0};
+    const double means[] = {1e-4, 1.0, 2.5, 3600.0};
+    const std::uint64_t ranges[][2] = {
+        {0, 1}, {3, 9}, {0, 999999}, {7, 1ULL << 40},
+        {0, ~std::uint64_t(0)}};
+    for (std::uint64_t seed : kIdentitySeeds) {
+        SCOPED_TRACE(seed);
+        Rng r(seed);
+        std::mt19937_64 ref(seed);
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(bits(r.uniform()),
+                      bits(std::uniform_real_distribution<double>(
+                          0.0, 1.0)(ref)));
+            const auto &b = bounds[i % 4];
+            ASSERT_EQ(bits(r.uniform(b[0], b[1])),
+                      bits(std::uniform_real_distribution<double>(
+                          b[0], b[1])(ref)));
+            double p = probs[i % 6];
+            ASSERT_EQ(r.bernoulli(p),
+                      std::uniform_real_distribution<double>(0.0, 1.0)(
+                          ref) < p);
+            double mean = means[i % 4];
+            ASSERT_EQ(bits(r.exponential(mean)),
+                      bits(std::exponential_distribution<double>(
+                          1.0 / mean)(ref)));
+            ASSERT_EQ(bits(r.normal(mean, 0.5)),
+                      bits(std::normal_distribution<double>(mean, 0.5)(
+                          ref)));
+            ASSERT_EQ(bits(r.lognormal(0.3, 1.2)),
+                      bits(std::lognormal_distribution<double>(0.3, 1.2)(
+                          ref)));
+            const auto &range = ranges[i % 5];
+            ASSERT_EQ(r.uniformInt(range[0], range[1]),
+                      std::uniform_int_distribution<std::uint64_t>(
+                          range[0], range[1])(ref));
+        }
+        Rng child = r.split();
+        std::mt19937_64 refChild(ref() ^ 0x9E3779B97F4A7C15ULL);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(child.raw()(), refChild());
+        EXPECT_EQ(r.raw()(), ref()); // parents still in step
+    }
+}
+
+/** A URBG that returns one fixed word, to probe the conversion. */
+struct FixedWord {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+    result_type word;
+    result_type operator()() { return word; }
+};
+
+TEST(Rng, CanonicalMatchesGenerateCanonical)
+{
+    const std::uint64_t top = ~std::uint64_t(0);
+    std::vector<std::uint64_t> words = {
+        0, 1, (1ULL << 53) - 1, 1ULL << 53, (1ULL << 53) + 1,
+        (1ULL << 63) - 1, 1ULL << 63, top - 1024, top - 1023, top};
+    std::mt19937_64 gen(99);
+    for (int i = 0; i < 100000; ++i) {
+        std::uint64_t w = gen();
+        words.push_back(w);
+        words.push_back(w >> (i % 64));       // small magnitudes
+        words.push_back(top - (w >> 52));     // within 4096 of the top
+    }
+    for (std::uint64_t w : words) {
+        FixedWord g{w};
+        double want = std::generate_canonical<double, 53>(g);
+        ASSERT_EQ(bits(Rng::canonical(w)), bits(want)) << "word " << w;
+        ASSERT_LT(Rng::canonical(w), 1.0) << "word " << w;
+    }
 }
 
 } // namespace
