@@ -56,8 +56,7 @@ sameKernel(const sim::EventQueue::Counters &a,
            const sim::EventQueue::Counters &b)
 {
     return a.scheduled == b.scheduled && a.dispatched == b.dispatched &&
-           a.cancelled == b.cancelled &&
-           a.compactions == b.compactions && a.peakHeap == b.peakHeap;
+           a.cancelled == b.cancelled && a.peakHeap == b.peakHeap;
 }
 
 /** Field-by-field bit comparison (doubles compared exactly). */

@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation kernels: event
- * queue throughput, processor-sharing resource, Rng draws, Zipf
- * sampling, and the page-replacement policies that dominate the trace
- * studies.
+ * queue throughput, processor-sharing resource, one open-loop
+ * websearch run, Rng draws, Zipf sampling, and the page-replacement
+ * policies that dominate the trace studies.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,10 +15,15 @@
 #include "memblade/replay.hh"
 #include "memblade/stack_distance.hh"
 #include "memblade/trace.hh"
+#include "perfsim/perf_eval.hh"
+#include "perfsim/server_sim.hh"
+#include "perfsim/throughput.hh"
+#include "platform/catalog.hh"
 #include "sim/distributions.hh"
 #include "sim/event_queue.hh"
 #include "sim/resources.hh"
 #include "util/random.hh"
+#include "workloads/websearch.hh"
 
 using namespace wsc;
 
@@ -43,7 +48,7 @@ void
 BM_EventQueueCancelHeavy(benchmark::State &state)
 {
     // Timer-wheel style churn: most scheduled events are cancelled
-    // before firing, which drives the stale-slot compaction path.
+    // before firing, each an indexed removal from the heap.
     for (auto _ : state) {
         sim::EventQueue eq;
         int sink = 0;
@@ -122,7 +127,7 @@ BM_QueueEnsembleMix(benchmark::State &state)
     // timer pending at a fixed horizon, rescheduled (cancel + insert)
     // whenever its server sees traffic — the idle-to-sleep governor
     // racing arrivals in perfsim/ensemble_sim. Cancels exercise the
-    // stale-entry skip and compaction paths at shard-sized depths.
+    // indexed removal at shard-sized depths.
     const auto depth = std::size_t(state.range(0)); // power of two
     sim::EventQueue eq;
     eq.reserve(2 * depth + 16);
@@ -151,6 +156,28 @@ BENCHMARK(BM_QueueEnsembleMix)
     ->Arg(1 << 16);
 
 void
+BM_EventQueueRetime(benchmark::State &state)
+{
+    // A PS station's completion event moved on every arrival and
+    // departure, among depth - 1 other pending events that never fire:
+    // the cost of one in-place retime at a fixed heap depth.
+    const auto depth = std::size_t(state.range(0));
+    sim::EventQueue eq;
+    eq.reserve(depth + 16);
+    SplitMix64 rng(11);
+    std::uint64_t sink = 0;
+    for (std::size_t i = 1; i < depth; ++i)
+        eq.schedule(rng.exponential(1.0), [&sink] { ++sink; });
+    sim::EventId completion =
+        eq.schedule(rng.exponential(1.0), [&sink] { ++sink; });
+    for (auto _ : state)
+        eq.retime(completion, rng.exponential(1.0));
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueRetime)->Arg(4)->Arg(4096);
+
+void
 BM_PsResourceChurn(benchmark::State &state)
 {
     const auto jobs = std::size_t(state.range(0));
@@ -167,6 +194,32 @@ BM_PsResourceChurn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_PsResourceChurn)->Arg(64)->Arg(1024)->Arg(8192);
+
+void
+BM_OpenLoopWebsearch(benchmark::State &state)
+{
+    // One QoS-search probe as the design evaluator runs it: websearch
+    // on srvr1 at 0.85x the analytic bound, 2 s warm-up plus 10 s
+    // measured. Items are dispatched events, so items/s is the DES
+    // kernel's end-to-end event rate with real model work attached.
+    workloads::Websearch ws;
+    auto st = perfsim::PerfEvaluator().stationsFor(
+        platform::makeSystem(platform::SystemClass::Srvr1), ws.traits(),
+        {});
+    const double rps = 0.85 * perfsim::analyticBound(ws, st);
+    perfsim::SimWindow w;
+    w.warmupSeconds = 2.0;
+    w.measureSeconds = 10.0;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        Rng rng(5);
+        auto r = perfsim::simulateInteractive(ws, st, rps, w, rng);
+        events += r.kernel.dispatched;
+        benchmark::DoNotOptimize(r.p95Latency);
+    }
+    state.SetItemsProcessed(std::int64_t(events));
+}
+BENCHMARK(BM_OpenLoopWebsearch)->Unit(benchmark::kMillisecond);
 
 void
 BM_RngUniform(benchmark::State &state)

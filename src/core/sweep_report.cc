@@ -24,8 +24,7 @@ cellReport(const DesignConfig &design, workloads::Benchmark benchmark,
         c.stations.push_back({s.name, s.utilization, s.completed,
                               std::uint64_t(s.peakDepth), s.meanDepth});
     c.kernel = {m.kernel.scheduled, m.kernel.dispatched,
-                m.kernel.cancelled, m.kernel.compactions,
-                std::uint64_t(m.kernel.peakHeap)};
+                m.kernel.cancelled, std::uint64_t(m.kernel.peakHeap)};
     c.searchProbes = m.searchProbes;
     c.wallSeconds = observation.wallSeconds;
     return c;
@@ -79,7 +78,7 @@ availReport(const DesignConfig &design,
     a.blastRadiusMax = result.faults.blastMax;
 
     a.kernel = {result.kernel.scheduled, result.kernel.dispatched,
-                result.kernel.cancelled, result.kernel.compactions,
+                result.kernel.cancelled,
                 std::uint64_t(result.kernel.peakHeap)};
     return a;
 }

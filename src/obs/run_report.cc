@@ -29,7 +29,6 @@ writeKernel(JsonWriter &w, const KernelReport &k)
     w.key("scheduled").value(k.scheduled);
     w.key("dispatched").value(k.dispatched);
     w.key("cancelled").value(k.cancelled);
-    w.key("compactions").value(k.compactions);
     w.key("peak_heap").value(k.peakHeap);
     w.endObject();
 }

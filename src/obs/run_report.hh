@@ -41,8 +41,7 @@ struct KernelReport {
     std::uint64_t scheduled = 0;
     std::uint64_t dispatched = 0;
     std::uint64_t cancelled = 0;
-    std::uint64_t compactions = 0;
-    std::uint64_t peakHeap = 0;
+    std::uint64_t peakHeap = 0; //!< max events pending at once
 };
 
 /** Request latency distribution at the sustainable operating point. */

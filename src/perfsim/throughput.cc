@@ -51,7 +51,6 @@ findSustainableRps(workloads::InteractiveWorkload &workload,
         out.kernelTotals.scheduled += r.kernel.scheduled;
         out.kernelTotals.dispatched += r.kernel.dispatched;
         out.kernelTotals.cancelled += r.kernel.cancelled;
-        out.kernelTotals.compactions += r.kernel.compactions;
         out.kernelTotals.peakHeap =
             std::max(out.kernelTotals.peakHeap, r.kernel.peakHeap);
         return r;

@@ -1,6 +1,6 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
+#include <cstdint>
 
 #include "util/logging.hh"
 
@@ -8,10 +8,6 @@ namespace wsc {
 namespace sim {
 
 namespace {
-
-/** Compaction is worthwhile only past this many stale entries; below
- * it the rebuild costs more than the skipped pops save. */
-constexpr std::size_t kCompactMinStale = 64;
 
 /** Default pre-sizing: matches the typical in-flight event count of
  * the interactive workloads so early runs never reallocate. */
@@ -21,6 +17,20 @@ constexpr EventId
 makeId(std::uint32_t slot, std::uint32_t gen)
 {
     return (EventId(slot) << 32) | gen;
+}
+
+/** Prefetch the two cache lines from address @p a: four 24-byte heap
+ * entries. A prefetch never faults, so @p a may lie past the heap's
+ * end; it is an integer so that no out-of-range pointer is formed. */
+inline void
+prefetchLines(std::uintptr_t a)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(reinterpret_cast<const void *>(a));
+    __builtin_prefetch(reinterpret_cast<const void *>(a + 64));
+#else
+    (void)a;
+#endif
 }
 
 } // namespace
@@ -35,6 +45,7 @@ EventQueue::reserve(std::size_t events)
 {
     heap.reserve(events);
     slotGen.reserve(events);
+    slotPos.reserve(events);
     slotAction.reserve(events);
     slotOwner.reserve(events);
     freeSlots.reserve(events);
@@ -52,6 +63,7 @@ EventQueue::acquireSlot()
                "event slot space exhausted");
     // Generations start at 1 so id 0 (slot 0, gen 0) is never valid.
     slotGen.push_back(1);
+    slotPos.push_back(0);
     slotAction.emplace_back();
     slotOwner.push_back(0);
     return std::uint32_t(slotGen.size() - 1);
@@ -60,12 +72,83 @@ EventQueue::acquireSlot()
 void
 EventQueue::releaseSlot(std::uint32_t slot)
 {
-    // Invalidates every outstanding handle and heap entry stamped with
-    // the previous generation. Wrap-around after 2^32 tenancies of one
-    // slot is acceptable: a handle that old cannot still be held by a
-    // correct caller.
+    // Invalidates every outstanding handle stamped with the previous
+    // generation. Wrap-around after 2^32 tenancies of one slot is
+    // acceptable: a handle that old cannot still be held by a correct
+    // caller.
     ++slotGen[slot];
     freeSlots.push_back(slot);
+}
+
+inline void
+EventQueue::siftUp(std::size_t hole, Entry e)
+{
+    Entry *h = heap.data();
+    std::uint32_t *pos = slotPos.data();
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / 2;
+        if (!earlier(e, h[parent]))
+            break;
+        h[hole] = h[parent];
+        pos[h[hole].slot] = std::uint32_t(hole);
+        hole = parent;
+    }
+    h[hole] = e;
+    pos[e.slot] = std::uint32_t(hole);
+}
+
+inline void
+EventQueue::siftDown(std::size_t hole, Entry e)
+{
+    Entry *h = heap.data();
+    std::uint32_t *pos = slotPos.data();
+    const std::size_t n = heap.size();
+    std::size_t child;
+    while ((child = 2 * hole + 1) < n) {
+        if (child + 1 < n)
+            child += std::size_t(earlier(h[child + 1], h[child]));
+        if (!earlier(h[child], e))
+            break;
+        h[hole] = h[child];
+        pos[h[hole].slot] = std::uint32_t(hole);
+        hole = child;
+    }
+    h[hole] = e;
+    pos[e.slot] = std::uint32_t(hole);
+}
+
+inline void
+EventQueue::removeAt(std::size_t i)
+{
+    Entry last = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
+    if (i == n)
+        return;
+    Entry *h = heap.data();
+    std::uint32_t *pos = slotPos.data();
+    // Walk the hole down along the earlier child. The pick is the
+    // subtraction of a flag, not a branch (it is a coin flip per
+    // level), so nothing runs ahead to the next level on its own:
+    // prefetch the grandchildren's lines, which deep heaps miss.
+    std::size_t hole = i;
+    std::size_t child;
+    while ((child = 2 * hole + 2) < n) {
+        prefetchLines(reinterpret_cast<std::uintptr_t>(h) +
+                      (4 * hole + 3) * sizeof(Entry));
+        child -= std::size_t(earlier(h[child - 1], h[child]));
+        h[hole] = h[child];
+        pos[h[hole].slot] = std::uint32_t(hole);
+        hole = child;
+    }
+    if (child == n) { // a lone left child
+        h[hole] = h[n - 1];
+        pos[h[hole].slot] = std::uint32_t(hole);
+        hole = n - 1;
+    }
+    // The refilled path keeps the heap order above the leaf hole, so
+    // sifting `last` up from it (possibly past i) restores the heap.
+    siftUp(hole, last);
 }
 
 EventId
@@ -80,10 +163,8 @@ EventQueue::schedule(Time when, InlineAction &&action,
     std::uint32_t gen = slotGen[slot];
     slotAction[slot] = std::move(action);
     slotOwner[slot] = owner;
-    Entry e{when, nextSeq++, slot, gen};
-    heap.push_back(e);
-    std::push_heap(heap.begin(), heap.end(), Later{});
-    ++live_;
+    heap.emplace_back();
+    siftUp(heap.size() - 1, Entry{when, nextSeq++, slot});
     ++counters_.scheduled;
     if (heap.size() > counters_.peakHeap)
         counters_.peakHeap = heap.size();
@@ -96,20 +177,43 @@ EventQueue::schedule(Time when, InlineAction &&action,
 bool
 EventQueue::cancel(EventId id)
 {
-    std::uint32_t slot = std::uint32_t(id >> 32);
-    std::uint32_t gen = std::uint32_t(id);
-    if (slot >= slotGen.size() || slotGen[slot] != gen)
+    if (!isLive(id))
         return false; // already dispatched or cancelled
+    std::uint32_t slot = std::uint32_t(id >> 32);
+    std::size_t pos = slotPos[slot];
+    Time when = heap[pos].when;
+    removeAt(pos);
     releaseSlot(slot);
-    // Destroy the closure now; the stale heap entry carries only
-    // metadata, so captures are not held hostage until compaction.
     slotAction[slot].reset();
-    --live_;
-    ++stale_;
     ++counters_.cancelled;
     if (tracer_)
-        tracer_({TraceRecord::Kind::Cancel, now_, 0.0, id});
-    maybeCompact();
+        tracer_({TraceRecord::Kind::Cancel, now_, when, id});
+    return true;
+}
+
+bool
+EventQueue::retime(EventId id, Time when)
+{
+    WSC_ASSERT(when >= now_, "event retimed into the past: " << when
+                                                             << " < "
+                                                             << now_);
+    if (!isLive(id))
+        return false;
+    std::size_t pos = slotPos[std::uint32_t(id >> 32)];
+    Entry e = heap[pos];
+    Time old = e.when;
+    e.when = when;
+    e.seq = nextSeq++; // the seq schedule() would have taken
+    if (pos > 0 && earlier(e, heap[(pos - 1) / 2]))
+        siftUp(pos, e);
+    else
+        siftDown(pos, e);
+    ++counters_.cancelled;
+    ++counters_.scheduled;
+    if (tracer_) {
+        tracer_({TraceRecord::Kind::Cancel, now_, old, id});
+        tracer_({TraceRecord::Kind::Schedule, now_, when, id});
+    }
     return true;
 }
 
@@ -118,28 +222,29 @@ EventQueue::cancelIf(
     const std::function<bool(EventId, Time, std::uint64_t)> &pred)
 {
     WSC_ASSERT(pred, "null bulk-cancel predicate");
-    // One sweep over the heap array; heap invariants are unaffected
-    // because cancellation only flips generation stamps. Entries
-    // already stale are skipped so the predicate sees each live event
-    // exactly once.
-    std::size_t n = 0;
-    for (const Entry &e : heap) {
-        if (!liveEntry(e))
+    // One sweep that keeps the survivors in place, then a bottom-up
+    // heapify: O(heap) however many events the predicate selects.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < heap.size(); ++i) {
+        Entry e = heap[i];
+        EventId id = makeId(e.slot, slotGen[e.slot]);
+        if (!pred(id, e.when, slotOwner[e.slot])) {
+            heap[kept] = e;
+            slotPos[e.slot] = std::uint32_t(kept++);
             continue;
-        EventId id = makeId(e.slot, e.gen);
-        if (!pred(id, e.when, slotOwner[e.slot]))
-            continue;
+        }
         releaseSlot(e.slot);
         slotAction[e.slot].reset();
-        --live_;
-        ++stale_;
         ++counters_.cancelled;
-        ++n;
         if (tracer_)
             tracer_({TraceRecord::Kind::Cancel, now_, e.when, id});
     }
-    if (n)
-        maybeCompact();
+    std::size_t n = heap.size() - kept;
+    if (n == 0)
+        return 0;
+    heap.resize(kept);
+    for (std::size_t i = kept / 2; i-- > 0;)
+        siftDown(i, heap[i]);
     return n;
 }
 
@@ -153,58 +258,27 @@ EventQueue::cancelAll(std::uint64_t owner)
 }
 
 void
-EventQueue::maybeCompact()
-{
-    // Rebuild once cancelled entries outnumber half the live pending
-    // set (and are numerous enough for the O(n) rebuild to pay off);
-    // keeps heap storage proportional to live events under
-    // schedule/cancel churn instead of growing with cancel volume.
-    if (stale_ < kCompactMinStale || stale_ * 2 <= live_)
-        return;
-    heap.erase(std::remove_if(heap.begin(), heap.end(),
-                              [this](const Entry &e) {
-                                  return !liveEntry(e);
-                              }),
-               heap.end());
-    std::make_heap(heap.begin(), heap.end(), Later{});
-    stale_ = 0;
-    ++counters_.compactions;
-}
-
-void
-EventQueue::skipStale()
-{
-    while (!heap.empty() && !liveEntry(heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        heap.pop_back();
-        --stale_;
-    }
-}
-
-void
 EventQueue::dispatchTop()
 {
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    Entry e = heap.back();
-    heap.pop_back();
+    Entry e = heap.front();
+    removeAt(0);
     // Move the action out of the slot pool before releasing the slot,
     // so it survives dispatch even if it schedules further events
     // that reuse the slot.
     InlineAction action = std::move(slotAction[e.slot]);
+    std::uint32_t gen = slotGen[e.slot];
     releaseSlot(e.slot);
-    --live_;
     now_ = e.when;
     ++counters_.dispatched;
     if (tracer_)
         tracer_({TraceRecord::Kind::Dispatch, now_, e.when,
-                 makeId(e.slot, e.gen)});
+                 makeId(e.slot, gen)});
     action();
 }
 
 bool
 EventQueue::step()
 {
-    skipStale();
     if (heap.empty())
         return false;
     dispatchTop();
@@ -214,21 +288,8 @@ EventQueue::step()
 std::uint64_t
 EventQueue::run(Time until)
 {
-    // Hand-fused skipStale + horizon check: one load of the heap top
-    // decides stale-pop, past-horizon, or dispatch. This loop is the
-    // hottest few instructions in the simulator, and the fused form
-    // avoids re-deriving heap.front() once per helper call.
     std::uint64_t n = 0;
-    while (!heap.empty()) {
-        const Entry &top = heap.front();
-        if (!liveEntry(top)) {
-            std::pop_heap(heap.begin(), heap.end(), Later{});
-            heap.pop_back();
-            --stale_;
-            continue;
-        }
-        if (top.when > until)
-            break;
+    while (!heap.empty() && heap.front().when <= until) {
         dispatchTop();
         ++n;
     }

@@ -34,14 +34,14 @@ using EventId = std::uint64_t;
  * A deterministic discrete-event queue.
  *
  * Events at equal timestamps dispatch in scheduling order (FIFO), which
- * keeps runs reproducible across platforms. Cancellation is lazy — a
- * cancelled event's heap entry is skipped at dispatch — but validity is
- * a generation-stamp comparison rather than a hash lookup, so the
- * cancel-heavy workloads (webmail session timers, ytube QoS deadlines)
- * pay two array reads per dispatch instead of an unordered_set probe.
- * When stale entries pile up past half the heap, a compaction pass
- * rebuilds the heap without them, bounding memory under
- * schedule/cancel churn.
+ * keeps runs reproducible across platforms: dispatch follows the strict
+ * total order on (when, seq), where seq is a per-queue counter taken at
+ * schedule() and retime(). The queue is an indexed binary min-heap —
+ * every slot records its heap position — so cancel() and retime()
+ * reach their entry directly and the heap never holds anything but
+ * pending events. A PS station's completion event can therefore be
+ * moved in place on every arrival and departure instead of leaving a
+ * cancelled entry behind for each one.
  */
 class EventQueue
 {
@@ -53,11 +53,10 @@ class EventQueue
      * reports.
      */
     struct Counters {
-        std::uint64_t scheduled = 0;   //!< schedule() calls
-        std::uint64_t dispatched = 0;  //!< events run
-        std::uint64_t cancelled = 0;   //!< successful cancel() calls
-        std::uint64_t compactions = 0; //!< heap rebuilds (stale purge)
-        std::size_t peakHeap = 0;      //!< max heap entries ever held
+        std::uint64_t scheduled = 0;  //!< schedule() + retime() calls
+        std::uint64_t dispatched = 0; //!< events run
+        std::uint64_t cancelled = 0;  //!< successful cancels + retimes
+        std::size_t peakHeap = 0;     //!< max events pending at once
     };
 
     /** Per-event trace record delivered to the tracer, if installed. */
@@ -120,6 +119,17 @@ class EventQueue
     bool cancel(EventId id);
 
     /**
+     * Move a pending event to absolute time @p when, keeping its
+     * action, owner tag and handle. The event takes a fresh sequence
+     * number, so it dispatches exactly where cancel() followed by
+     * schedule() would have put it; it counts (and traces) as one
+     * cancel plus one schedule. One sift instead of a removal and an
+     * insertion. Retiming into the past is a caller bug and panics.
+     * @return false if @p id was already run/cancelled.
+     */
+    bool retime(EventId id, Time when);
+
+    /**
      * Bulk-cancel every pending event tagged with @p owner (which must
      * be non-zero; untagged events are never bulk-cancelled). One
      * O(heap) sweep instead of an O(n) search per cancelled event.
@@ -137,10 +147,10 @@ class EventQueue
         const std::function<bool(EventId, Time, std::uint64_t)> &pred);
 
     /** True when no runnable events remain. O(1). */
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return heap.empty(); }
 
     /** Number of pending (non-cancelled) events. O(1). */
-    std::size_t pending() const { return live_; }
+    std::size_t pending() const { return heap.size(); }
 
     /**
      * Dispatch the next event.
@@ -176,46 +186,37 @@ class EventQueue
     /** Pre-size the heap and slot pool for @p events in flight. */
     void reserve(std::size_t events);
 
-    /** Stale (cancelled) entries currently occupying heap storage. */
-    std::size_t staleEntries() const { return stale_; }
-
   private:
     /**
-     * Ordering entries carry metadata only; the action and the
-     * bulk-cancel owner tag live in the slot pool (slotAction and
-     * slotOwner, parallel to slotGen). Keeping the 24-byte entry free
-     * of the 80-byte InlineAction makes the push/pop-heap sift moves
-     * cheap, and lets cancel() destroy the closure immediately instead
-     * of holding captures until the stale entry is skipped or
-     * compacted away. The owner tag moves out too: it is read only by
-     * the bulk-cancel sweeps, never on the sift path, and shaving it
-     * fits two entries per cache line during sifts. The total
-     * dispatch order is (when, seq) ascending; seq is unique.
+     * Heap entries carry ordering metadata only; the action, owner tag
+     * and heap position live in the slot pool (slotAction, slotOwner,
+     * slotPos, parallel to slotGen). Keeping the 24-byte entry free of
+     * the 80-byte InlineAction makes sift moves cheap.
      */
     struct Entry {
         Time when;
         std::uint64_t seq;  //!< global FIFO sequence number
         std::uint32_t slot; //!< slot-pool index of the action
-        std::uint32_t gen;  //!< slot generation when scheduled
     };
 
-    struct Later {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            // Min-heap on (time, seq); seq breaks ties FIFO.
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+    /** Strict total order on (when, seq); seq is unique. */
+    static bool
+    earlier(const Entry &a, const Entry &b)
+    {
+        // Times almost never tie, so this branch predicts well and the
+        // compare itself can become a conditional move in the sifts.
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.seq < b.seq;
+    }
 
-    /** Heap order maintained manually (std::push_heap/pop_heap) so
-     * compaction can filter the underlying vector in place. */
+    /** Binary min-heap under earlier(); slotPos indexes into it. */
     std::vector<Entry> heap;
-    /** Per-slot current generation; a heap entry is live iff its
-     * stamp matches. Bumped on dispatch and on cancel. */
+    /** Per-slot current generation; a handle is live iff its stamp
+     * matches. Bumped on dispatch and on cancel. */
     std::vector<std::uint32_t> slotGen;
+    /** Per-slot heap index of the slot's entry while it is pending. */
+    std::vector<std::uint32_t> slotPos;
     /** Per-slot pending action, engaged while the slot's event is
      * live. Indexed in lockstep with slotGen. */
     std::vector<InlineAction> slotAction;
@@ -227,25 +228,35 @@ class EventQueue
     std::uint64_t nextSeq = 1;
     Counters counters_;
     Tracer tracer_;
-    std::size_t live_ = 0;   //!< scheduled, not yet dispatched/cancelled
-    std::size_t stale_ = 0;  //!< cancelled entries still in the heap
-
-    bool liveEntry(const Entry &e) const
-    {
-        return slotGen[e.slot] == e.gen;
-    }
 
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t slot);
 
-    /** Pop stale entries off the heap top. */
-    void skipStale();
+    /** Whether @p id names a pending event (not yet run/cancelled). */
+    bool
+    isLive(EventId id) const
+    {
+        std::uint32_t slot = std::uint32_t(id >> 32);
+        return slot < slotGen.size() && slotGen[slot] == std::uint32_t(id);
+    }
 
-    /** Dispatch the heap top, which must be live (post skipStale). */
+    /** Move @p e up from the hole at @p hole to its place. */
+    void siftUp(std::size_t hole, Entry e);
+
+    /** Move @p e down from the hole at @p hole to its place. */
+    void siftDown(std::size_t hole, Entry e);
+
+    /**
+     * Remove the entry at heap index @p i (Floyd's bottom-up delete:
+     * walk the hole to a leaf along smaller children, then sift the
+     * last entry up from there — about half the comparisons of a
+     * top-down sift, since the last entry almost always belongs near
+     * the bottom).
+     */
+    void removeAt(std::size_t i);
+
+    /** Dispatch the heap top; the heap must be non-empty. */
     void dispatchTop();
-
-    /** Rebuild the heap without stale entries when they dominate. */
-    void maybeCompact();
 };
 
 } // namespace sim

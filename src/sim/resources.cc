@@ -70,18 +70,24 @@ PsResource::advance()
 void
 PsResource::reschedule()
 {
-    if (completionEvent) {
-        eq.cancel(completionEvent);
-        completionEvent = 0;
-    }
-    if (heap.empty())
+    if (heap.empty()) {
+        if (completionEvent) {
+            eq.cancel(completionEvent);
+            completionEvent = 0;
+        }
         return;
+    }
     double remaining = heap.front().finishMark - progress;
     double rate = perJobRate(heap.size());
     double dt =
         (remaining <= workEpsilon(progress)) ? 0.0 : remaining / rate;
-    completionEvent =
-        eq.scheduleAfter(dt, [this] { onCompletion(); }, owner_);
+    // A pending completion moves in place: same dispatch position as
+    // cancel + schedule, without the removal and the slot churn. A
+    // handle that a cancelAll(owner_) already retired gets a new
+    // event, as cancel + schedule would have given it.
+    if (!completionEvent || !eq.retime(completionEvent, eq.now() + dt))
+        completionEvent =
+            eq.scheduleAfter(dt, [this] { onCompletion(); }, owner_);
 }
 
 std::size_t

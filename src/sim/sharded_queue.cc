@@ -315,7 +315,6 @@ ShardedEventQueue::counters() const
         sum.scheduled += c.scheduled;
         sum.dispatched += c.dispatched;
         sum.cancelled += c.cancelled;
-        sum.compactions += c.compactions;
         sum.peakHeap = std::max(sum.peakHeap, c.peakHeap);
     }
     return sum;

@@ -144,9 +144,9 @@ class ShardedEventQueue
 
     /**
      * Kernel counters summed over shards. scheduled / dispatched /
-     * cancelled are shard-count-invariant totals; compactions and
-     * peakHeap depend on how lanes were packed and must not be used
-     * in identity comparisons.
+     * cancelled are shard-count-invariant totals; peakHeap (the
+     * largest per-shard pending count) depends on how lanes were
+     * packed and must not be used in identity comparisons.
      */
     EventQueue::Counters counters() const;
 

@@ -8,7 +8,7 @@ namespace wsc {
 namespace workloads {
 
 Websearch::Websearch(WebsearchParams params)
-    : p(params), termDist(p.vocabularyTerms, p.termZipfExponent),
+    : p(params),
       // Keyword-count mix after Xie & O'Hallaron: short queries
       // dominate web search traffic.
       keywordCountDist({1.0, 2.0, 3.0, 4.0, 5.0},
@@ -20,6 +20,14 @@ Websearch::Websearch(WebsearchParams params)
     cachedRankLimit =
         std::uint64_t(double(p.vocabularyTerms) * p.cachedTermFraction);
     meanKeywords = keywordCountDist.mean();
+    sim::ZipfDist termDist(p.vocabularyTerms, p.termZipfExponent);
+    // A term's rank is the first i + 1 with cdf[i] >= u for its
+    // uniform u, and the CDF is nondecreasing, so rank <= L exactly
+    // when u <= cdf[L - 1]. L = 0 caches nothing; L = n caches every
+    // term (cdf.back() is 1.0 and u < 1).
+    cachedTermCdf = cachedRankLimit == 0
+                        ? -1.0
+                        : termDist.cdfTable()[cachedRankLimit - 1];
     // P(term cached) = CDF of the Zipf at the cached-rank limit.
     double cached_mass = 0.0;
     for (std::uint64_t k = 1; k <= cachedRankLimit; ++k)
@@ -47,11 +55,11 @@ Websearch::nextRequest(Rng &rng)
     double work = p.cpuWorkBase + p.cpuWorkPerTerm * double(keywords);
     // Shape per-query variability with a lognormal multiplier around 1.
     d.cpuWork = work * cpuShape.sampleImpl(rng);
-    for (unsigned i = 0; i < keywords; ++i) {
-        std::uint64_t rank = termDist.sampleRank(rng);
-        if (!termIsCached(rank))
+    // Each term draws the uniform its Zipf rank would invert; the
+    // cached test is a compare against that rank limit's CDF value.
+    for (unsigned i = 0; i < keywords; ++i)
+        if (rng.uniform() > cachedTermCdf)
             d.diskReadBytes += p.postingListBytes;
-    }
     d.netBytes = p.responseBytes;
     return d;
 }
@@ -65,36 +73,28 @@ Websearch::nextRequestBatch(BatchStream &s, ServiceDemand *out,
     countIdx.resize(n);
     batcher.drawEmpiricalIndices(keywordCountDist, s.fast,
                                  countIdx.data(), n);
-    std::size_t totalTerms = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        unsigned kw = unsigned(keywordCountDist.valueAt(countIdx[i]));
-        countIdx[i] = kw;
-        totalTerms += kw;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        countIdx[i] = unsigned(keywordCountDist.valueAt(countIdx[i]));
 
-    // Pass 2: every term rank of every query in one batched sweep —
-    // this is the draw whose guide-table misses and uniform cost
-    // dominate the scalar path; the batch overlaps the misses and the
-    // fast engine removes most of the per-uniform cost.
-    rankBuf.resize(totalTerms);
-    batcher.drawZipfRanks(termDist, s.fast, rankBuf.data(), totalTerms);
-
-    // Pass 3: CPU shaping multipliers (batched Box-Muller over the
-    // fast engine — exact lognormal law) and demand assembly.
-    shapeBuf.resize(n);
-    batcher.drawLognormal(cpuShape, s.fast, shapeBuf.data(), n);
-    std::size_t term = 0;
+    // Pass 2: one uniform per term, query by query, compared against
+    // the cached rank limit's CDF value (see the constructor).
     for (std::size_t i = 0; i < n; ++i) {
-        unsigned keywords = countIdx[i];
         ServiceDemand d;
-        double work =
-            p.cpuWorkBase + p.cpuWorkPerTerm * double(keywords);
-        d.cpuWork = work * shapeBuf[i];
-        for (unsigned k = 0; k < keywords; ++k)
-            if (!termIsCached(rankBuf[term++]))
+        for (unsigned k = 0; k < countIdx[i]; ++k)
+            if (s.fast.uniform() > cachedTermCdf)
                 d.diskReadBytes += p.postingListBytes;
         d.netBytes = p.responseBytes;
         out[i] = d;
+    }
+
+    // Pass 3: CPU shaping multipliers (batched Box-Muller over the
+    // fast engine — exact lognormal law).
+    shapeBuf.resize(n);
+    batcher.drawLognormal(cpuShape, s.fast, shapeBuf.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double work =
+            p.cpuWorkBase + p.cpuWorkPerTerm * double(countIdx[i]);
+        out[i].cpuWork = work * shapeBuf[i];
     }
 }
 

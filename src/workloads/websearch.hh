@@ -67,12 +67,11 @@ class Websearch : public InteractiveWorkload
     ServiceDemand nextRequest(Rng &rng) override;
 
     /**
-     * Structure-of-arrays batch generation: all keyword counts, then
-     * all term ranks (batched through sim::SampleBatcher over the
-     * stream's fast engine so the Zipf guide-table misses overlap and
-     * the uniforms are cheap), then all CPU shaping multipliers. Same
-     * joint demand distribution as the scalar path; different draws,
-     * so only fast-mode demand streams may use it.
+     * Structure-of-arrays batch generation over the stream's fast
+     * engine: all keyword counts, then one uniform per term for the
+     * cached test, then all CPU shaping multipliers. Same joint demand
+     * distribution as the scalar path; different draws, so only
+     * fast-mode demand streams may use it.
      */
     void nextRequestBatch(BatchStream &s, ServiceDemand *out,
                           std::size_t n) override;
@@ -89,18 +88,22 @@ class Websearch : public InteractiveWorkload
 
   private:
     WebsearchParams p;
-    sim::ZipfDist termDist;
     sim::EmpiricalDist keywordCountDist;
     /** Per-query lognormal work multiplier around 1 (mean 1, covCpu). */
     sim::LognormalDist cpuShape;
     /** Ranks at or below this are cached (popular terms are cached). */
     std::uint64_t cachedRankLimit;
+    /**
+     * Zipf CDF at cachedRankLimit (-1 when it is 0): a term whose rank
+     * uniform is at most this is cached. Each draw is then a compare
+     * instead of an inversion through the vocabulary-sized tables.
+     */
+    double cachedTermCdf;
     double meanKeywords;
     double coldTermProb; //!< probability one sampled term is uncached
     // Batch-path scratch (sized on demand; reused across calls).
     sim::SampleBatcher batcher;
     std::vector<std::uint32_t> countIdx;
-    std::vector<std::uint64_t> rankBuf;
     std::vector<double> shapeBuf;
 };
 

@@ -18,8 +18,9 @@ Ytube::sampleVideoRank(Rng &rng)
 ServiceDemand
 Ytube::nextRequest(Rng &rng)
 {
-    (void)sampleVideoRank(rng); // popularity drives cache behavior via
-                                // the trait-level hit rate
+    // Popularity drives cache behavior via the trait-level hit rate, so
+    // the rank itself is unused: draw its uniform, skip the lookup.
+    (void)rng.uniform();
     double mb = transferSize.sampleImpl(rng);
     ServiceDemand d;
     d.cpuWork = p.cpuWorkBase + p.cpuWorkPerMB * mb;
@@ -32,12 +33,11 @@ void
 Ytube::nextRequestBatch(BatchStream &s, ServiceDemand *out,
                         std::size_t n)
 {
-    // The popularity draw is the expensive one (catalog-sized Zipf
-    // guide table); batch it over the fast engine so its misses
-    // overlap and the uniforms are cheap, then assemble demands from
+    // One discarded fast uniform per request stands in for the unused
+    // popularity rank (as in nextRequest), then demands come from
     // batched Box-Muller transfer-size draws (exact lognormal law).
-    rankBuf.resize(n);
-    batcher.drawZipfRanks(popularity, s.fast, rankBuf.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        (void)s.fast.uniform();
     sizeBuf.resize(n);
     batcher.drawLognormal(transferSize, s.fast, sizeBuf.data(), n);
     for (std::size_t i = 0; i < n; ++i) {

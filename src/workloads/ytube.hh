@@ -69,10 +69,10 @@ class Ytube : public InteractiveWorkload
     ServiceDemand nextRequest(Rng &rng) override;
 
     /**
-     * Structure-of-arrays batch generation: all popularity ranks in
-     * one batched guide-table sweep over the stream's fast engine,
-     * then all transfer sizes. Same joint distribution as the scalar
-     * path, different draws — fast-mode demand streams only.
+     * Structure-of-arrays batch generation over the stream's fast
+     * engine: one discarded uniform per request for the popularity
+     * rank, then all transfer sizes. Same joint distribution as the
+     * scalar path, different draws — fast-mode demand streams only.
      */
     void nextRequestBatch(BatchStream &s, ServiceDemand *out,
                           std::size_t n) override;
@@ -90,7 +90,6 @@ class Ytube : public InteractiveWorkload
     sim::LognormalDist transferSize;
     // Batch-path scratch (sized on demand; reused across calls).
     sim::SampleBatcher batcher;
-    std::vector<std::uint64_t> rankBuf;
     std::vector<double> sizeBuf;
 };
 

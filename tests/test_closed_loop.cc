@@ -215,7 +215,6 @@ expectBitIdentical(const ClosedLoopResult &pooled,
     EXPECT_EQ(pooled.kernel.scheduled, oracle.kernel.scheduled);
     EXPECT_EQ(pooled.kernel.dispatched, oracle.kernel.dispatched);
     EXPECT_EQ(pooled.kernel.cancelled, oracle.kernel.cancelled);
-    EXPECT_EQ(pooled.kernel.compactions, oracle.kernel.compactions);
     EXPECT_EQ(pooled.kernel.peakHeap, oracle.kernel.peakHeap);
 }
 

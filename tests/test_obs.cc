@@ -207,7 +207,7 @@ sampleCell(const std::string &design, const std::string &bottleneck)
     c.bottleneck = bottleneck;
     c.stations.push_back({"cpu", 0.9, 1000, 12, 3.5});
     c.stations.push_back({"disk", 0.4, 500, 4, 0.7});
-    c.kernel = {5000, 4800, 200, 1, 300};
+    c.kernel = {5000, 4800, 200, 300};
     c.searchProbes = 9;
     c.wallSeconds = 1.25;
     return c;

@@ -72,6 +72,25 @@ TEST(PsResource, LateArrivalSlowsExistingJob)
     EXPECT_NEAR(second_done, 2.0, 1e-9);
 }
 
+TEST(PsResource, ArrivalReArmsCompletionRetiredByCancelAll)
+{
+    // The station retimes its pending completion on each arrival; when
+    // a bulk cancel on its owner tag already retired that event, the
+    // arrival must schedule a new one. Timeline as in
+    // LateArrivalSlowsExistingJob.
+    EventQueue eq;
+    PsResource cpu(eq, "cpu", 1.0, 1, /*owner=*/7);
+    double first_done = -1, second_done = -1;
+    cpu.submit(1.0, [&] { first_done = eq.now(); });
+    EXPECT_EQ(eq.cancelAll(7), 1u);
+    eq.schedule(0.5, [&] {
+        cpu.submit(1.0, [&] { second_done = eq.now(); });
+    });
+    eq.runAll();
+    EXPECT_NEAR(first_done, 1.5, 1e-9);
+    EXPECT_NEAR(second_done, 2.0, 1e-9);
+}
+
 TEST(PsResource, ZeroWorkCompletesImmediately)
 {
     EventQueue eq;

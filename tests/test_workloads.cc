@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "sim/distributions.hh"
 #include "workloads/mapreduce.hh"
 #include "workloads/suite.hh"
 #include "workloads/webmail.hh"
@@ -70,6 +74,62 @@ TEST(Websearch, PopularTermsAreCached)
     Websearch ws;
     EXPECT_TRUE(ws.termIsCached(1));
     EXPECT_FALSE(ws.termIsCached(ws.params().vocabularyTerms));
+}
+
+bool
+sameBits(const ServiceDemand &a, const ServiceDemand &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** The next few raw engine words agree (same Rng state). */
+void
+expectSameRngState(Rng &a, Rng &b)
+{
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(a.raw()(), b.raw()());
+}
+
+TEST(Websearch, CachedCompareMatchesRankInversion)
+{
+    // nextRequest tests a term's uniform against the Zipf CDF at the
+    // cached-rank limit instead of inverting it to a rank. Reference:
+    // the rank formulation, spelled out with same-parameter tables.
+    for (double fraction : {0.0, 0.25, 1.0}) {
+        WebsearchParams wp;
+        wp.cachedTermFraction = fraction;
+        Websearch ws(wp), reference(wp);
+        sim::ZipfDist terms(wp.vocabularyTerms, wp.termZipfExponent);
+        sim::LognormalDist shape(1.0, wp.covCpu);
+        for (std::uint64_t seed : {3u, 17u, 2024u}) {
+            SCOPED_TRACE(testing::Message() << "fraction " << fraction
+                                            << " seed " << seed);
+            Rng a(seed), b(seed);
+            std::size_t mismatches = 0;
+            double coldBytes = 0.0;
+            for (int i = 0; i < 200000; ++i) {
+                ServiceDemand got = ws.nextRequest(a);
+                unsigned keywords = reference.sampleKeywordCount(b);
+                ServiceDemand want;
+                double work = wp.cpuWorkBase +
+                              wp.cpuWorkPerTerm * double(keywords);
+                want.cpuWork = work * shape.sampleImpl(b);
+                for (unsigned k = 0; k < keywords; ++k)
+                    if (!reference.termIsCached(terms.sampleRank(b)))
+                        want.diskReadBytes += wp.postingListBytes;
+                want.netBytes = wp.responseBytes;
+                mismatches += !sameBits(got, want);
+                coldBytes += got.diskReadBytes;
+            }
+            EXPECT_EQ(mismatches, 0u);
+            expectSameRngState(a, b);
+            // The edge fractions are really exercised.
+            if (fraction == 1.0)
+                EXPECT_EQ(coldBytes, 0.0);
+            else
+                EXPECT_GT(coldBytes, 0.0);
+        }
+    }
 }
 
 TEST(Websearch, KeywordCountsInObservedRange)
@@ -187,6 +247,33 @@ TEST(Ytube, PopularityRanksValid)
         auto r = yt.sampleVideoRank(rng);
         EXPECT_GE(r, 1u);
         EXPECT_LE(r, yt.params().catalogSize);
+    }
+}
+
+TEST(Ytube, RequestsMatchRankDrawingFormulation)
+{
+    // nextRequest draws the unused popularity rank's uniform without
+    // the lookup. Reference: draw the rank, then the transfer size.
+    YtubeParams yp;
+    Ytube yt(yp);
+    sim::ZipfDist popularity(yp.catalogSize, yp.popularityZipf);
+    sim::LognormalDist size(yp.meanTransferMB, yp.covTransfer);
+    for (std::uint64_t seed : {3u, 17u, 2024u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng a(seed), b(seed);
+        std::size_t mismatches = 0;
+        for (int i = 0; i < 200000; ++i) {
+            ServiceDemand got = yt.nextRequest(a);
+            (void)popularity.sampleRank(b);
+            double mb = size.sampleImpl(b);
+            ServiceDemand want;
+            want.cpuWork = yp.cpuWorkBase + yp.cpuWorkPerMB * mb;
+            want.diskReadBytes = mb * 1.0e6;
+            want.netBytes = mb * 1.0e6;
+            mismatches += !sameBits(got, want);
+        }
+        EXPECT_EQ(mismatches, 0u);
+        expectSameRngState(a, b);
     }
 }
 
